@@ -19,6 +19,9 @@
 //!   measurements;
 //! * [`loadinfo::LoadMonitor`] — the periodically updated (hence stale)
 //!   rstat-style load view;
+//! * [`run::RunCore`] — the per-run protocol (meta and series headers,
+//!   placement, completion accounting, monitor windows, SLO alerts,
+//!   summary) shared by both substrates;
 //! * [`sim::ClusterSim`] — the trace-driven discrete-event driver over
 //!   `msweb-ossim` nodes;
 //! * [`config::PolicyKind`] — every contender of §5.2: Flat, M/S, M/S-ns,
@@ -41,6 +44,7 @@ pub mod loadinfo;
 pub mod metrics;
 pub mod reservation;
 pub mod rsrc;
+pub mod run;
 #[deny(missing_docs)]
 pub mod sched;
 pub mod sim;
@@ -56,6 +60,7 @@ pub use loadinfo::{LoadMonitor, NodeLoad};
 pub use metrics::{Level, Metrics, RunSummary};
 pub use reservation::ReservationController;
 pub use rsrc::RsrcPredictor;
+pub use run::{Arrival, RunCore, RunOutcome};
 pub use sched::{
     analyze, AnalysisReport, AttainedService, CollectingObserver, ComposeError, DecisionObserver,
     DecisionRecord, Dispatcher, DropRecord, DynScheduler, GreedyRegion, JsonlSink, NearestRegion,
@@ -65,7 +70,7 @@ pub use sched::{
 };
 pub use sim::{
     policy_sim, policy_sim_from_stats, simulate, simulate_source, ClusterSim, RunOptions,
-    RunOutcome, WorkloadStats,
+    WorkloadStats,
 };
 pub use telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput, SharedSeriesBuffer};
 pub use telemetry::slo::{

@@ -13,6 +13,18 @@ pub enum Level {
     Slave,
 }
 
+impl Level {
+    /// The level a completed request is accounted at: `None` for static
+    /// requests, where a dynamic one ran otherwise.
+    pub fn of(dynamic: bool, on_master: bool) -> Option<Level> {
+        match (dynamic, on_master) {
+            (false, _) => None,
+            (true, true) => Some(Level::Master),
+            (true, false) => Some(Level::Slave),
+        }
+    }
+}
+
 /// Accumulates per-run performance numbers.
 #[derive(Debug, Default)]
 pub struct Metrics {

@@ -30,14 +30,14 @@ use crate::cache::DynContentCache;
 use crate::config::{ClusterConfig, PolicyKind};
 use crate::failure::FailurePlan;
 use crate::loadinfo::LoadMonitor;
-use crate::metrics::{Level, Metrics, RunSummary};
+use crate::metrics::{Level, RunSummary};
+use crate::run::{Arrival, RunCore, RunOutcome};
 use crate::sched::{
-    DecisionObserver, DropRecord, NodeSample, PolicyScheduler, ReqKnowledge, RunMeta, Schedule,
-    TraceEvent,
+    DecisionObserver, DropRecord, Placement, PolicyScheduler, ReqKnowledge, Schedule,
 };
-use crate::telemetry::series::{SeriesMeta, SeriesRecorder, SeriesWindowInput};
+use crate::telemetry::series::SeriesRecorder;
 use crate::telemetry::slo::SloEngine;
-use crate::telemetry::{TelemetryProbe, TelemetrySnapshot, WindowSample};
+use crate::telemetry::TelemetrySnapshot;
 
 /// Per-request bookkeeping for a request that has been admitted and not
 /// yet completed or dropped. Map membership *is* the pending state:
@@ -74,11 +74,11 @@ const NOISE_RNG_LABEL: u64 = 0xD15E;
 /// A fully wired simulated cluster, generic over the scheduling
 /// pipeline it drives (defaults to the built-in per-policy pipeline).
 pub struct ClusterSim<Sch: Schedule = PolicyScheduler> {
-    config: ClusterConfig,
+    /// The shared run protocol: scheduler, metrics, observability and
+    /// the configuration in force.
+    core: RunCore<Sch>,
     nodes: Vec<Node>,
-    scheduler: Sch,
     monitor: LoadMonitor,
-    metrics: Metrics,
     /// Off-line-sampled mean demands used to debit the stale load view:
     /// (static, dynamic).
     mean_demand: (SimDuration, SimDuration),
@@ -91,21 +91,6 @@ pub struct ClusterSim<Sch: Schedule = PolicyScheduler> {
     recoveries: Vec<(SimTime, usize)>,
     /// Dynamic-content cache (Swala extension), when enabled.
     cache: Option<DynContentCache>,
-    /// Reservation priors the scheduler was seeded with, recorded in
-    /// the trace meta line so replay can rebuild the same controller.
-    priors: (f64, f64),
-    /// Registry spec label recorded in the trace meta line when the
-    /// scheduler is a custom composition rather than `config.policy`.
-    spec_label: Option<String>,
-    /// Driver-side telemetry probe (controller series, node gauges,
-    /// response histograms), when telemetry is enabled.
-    telemetry: Option<TelemetryProbe>,
-    /// Windowed time-series recorder (one JSONL record per monitor
-    /// tick), when attached.
-    series: Option<SeriesRecorder>,
-    /// SLO burn-rate engine evaluated at every monitor tick, when
-    /// rules are attached.
-    slo: Option<SloEngine>,
     /// Admitted-but-unfinished requests, keyed by admission sequence.
     in_flight: HashMap<u64, InFlight>,
     /// What the scheduler is told about each request's demand.
@@ -158,12 +143,10 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         let cache = config.cache().cloned().map(DynContentCache::new);
         let noise_rng = SimRng::seed_from_u64(split_seed(config.seed(), NOISE_RNG_LABEL));
         ClusterSim {
-            config,
+            core: RunCore::new("sim", config, scheduler, (0.5, 0.05)),
             nodes,
-            scheduler,
             monitor,
             cache,
-            metrics: Metrics::new(),
             mean_demand: (
                 SimDuration::from_secs_f64(1.0 / 1200.0),
                 SimDuration::from_secs_f64(1.0 / 60.0),
@@ -173,11 +156,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             failures: FailurePlan::none(),
             failure_cursor: 0,
             recoveries: Vec::new(),
-            priors: (0.5, 0.05),
-            spec_label: None,
-            telemetry: None,
-            series: None,
-            slo: None,
             in_flight: HashMap::new(),
             visibility: DemandVisibility::Exact,
             noise_rng,
@@ -206,7 +184,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// this automatically; callers of [`ClusterSim::with_scheduler`]
     /// should pass the same `a0`/`r0` they composed the scheduler with.
     pub fn with_priors(mut self, a0: f64, r0: f64) -> Self {
-        self.priors = (a0, r0);
+        self.core.set_priors(a0, r0);
         self
     }
 
@@ -214,7 +192,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// custom compositions, where `config.policy` alone does not
     /// describe the scheduler).
     pub fn with_spec_label(mut self, spec: impl Into<String>) -> Self {
-        self.spec_label = Some(spec.into());
+        self.core.set_spec(Some(spec.into()));
         self
     }
 
@@ -242,8 +220,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// reservation controller and node gauges at every monitor tick.
     /// Read the result back with [`ClusterSim::telemetry_snapshot`].
     pub fn with_telemetry(mut self) -> Self {
-        self.scheduler.set_telemetry_enabled(true);
-        self.telemetry = Some(TelemetryProbe::new());
+        self.core.enable_telemetry();
         self
     }
 
@@ -256,8 +233,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// influence placement decisions, so summaries and decision logs
     /// are byte-identical with and without a recorder attached.
     pub fn with_series(mut self, recorder: SeriesRecorder) -> Self {
-        self.scheduler.set_telemetry_enabled(true);
-        self.series = Some(recorder);
+        self.core.set_series(recorder);
         self
     }
 
@@ -266,52 +242,31 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// tracing is active — to the log as `alert` events, so rule-less
     /// logs stay byte-identical.
     pub fn with_slo(mut self, engine: SloEngine) -> Self {
-        self.slo = Some(engine);
+        self.core.set_slo(engine);
         self
     }
 
     /// The attached SLO engine, if any (e.g. to read
     /// [`SloEngine::alerts_fired`] after a run).
     pub fn slo_engine(&self) -> Option<&SloEngine> {
-        self.slo.as_ref()
+        self.core.slo_engine()
     }
 
     /// Take back the attached series recorder (flushing is the
     /// caller's concern; the recorder also flushes on drop).
     pub fn take_series(&mut self) -> Option<SeriesRecorder> {
-        self.series.take()
-    }
-
-    /// The policy label reported in telemetry: the registry spec when
-    /// one was recorded, the policy slug otherwise.
-    fn policy_label(&self) -> String {
-        match &self.spec_label {
-            Some(spec) => spec.clone(),
-            None => self.config.policy().slug().to_string(),
-        }
+        self.core.take_series()
     }
 
     /// Assemble the full telemetry snapshot for the run so far. `None`
     /// unless [`ClusterSim::with_telemetry`] was called.
     pub fn telemetry_snapshot(&self) -> Option<TelemetrySnapshot> {
-        let probe = self.telemetry.as_ref()?;
-        let sched = self.scheduler.telemetry()?;
-        let policy = self.policy_label();
-        Some(TelemetrySnapshot::assemble(
-            "sim",
-            &policy,
-            self.config.seed(),
-            self.scheduler.masters(),
-            sched,
-            self.scheduler.scorer_path_counts(),
-            self.scheduler.reservation().clamp_events(),
-            probe,
-        ))
+        self.core.snapshot()
     }
 
     /// The resolved master count.
     pub fn masters(&self) -> usize {
-        self.scheduler.masters()
+        self.core.scheduler().masters()
     }
 
     /// Cache statistics `(hits, misses, expirations, evictions)`, when
@@ -322,18 +277,18 @@ impl<Sch: Schedule> ClusterSim<Sch> {
 
     /// The configuration in force.
     pub fn config(&self) -> &ClusterConfig {
-        &self.config
+        self.core.config()
     }
 
     /// The scheduling pipeline driving this cluster.
     pub fn scheduler(&self) -> &Sch {
-        &self.scheduler
+        self.core.scheduler()
     }
 
     /// Mutable access to the pipeline, e.g. to install a
     /// [`DecisionObserver`] before `run`.
     pub fn scheduler_mut(&mut self) -> &mut Sch {
-        &mut self.scheduler
+        self.core.scheduler_mut()
     }
 
     /// Replay `trace` to completion and return the run summary.
@@ -349,39 +304,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
     /// summary. Peak memory is bounded by the number of concurrently
     /// in-flight requests; the source is consumed one request at a time.
     pub fn run_source<S: RequestSource>(&mut self, mut source: S) -> RunSummary {
-        if self.scheduler.tracing() {
-            let meta = RunMeta {
-                substrate: "sim".to_string(),
-                p: self.config.p(),
-                m: self.scheduler.masters(),
-                policy: self.config.policy().slug().to_string(),
-                spec: self.spec_label.clone(),
-                seed: self.config.seed(),
-                a0: self.priors.0,
-                r0: self.priors.1,
-                master_reserve: self.config.master_reserve(),
-                dns_skew: self.config.dns_skew(),
-                monitor_period_us: self.config.monitor_period().as_micros(),
-                remote_latency_us: self.config.remote_latency().as_micros(),
-                redirect_rtt_us: self.config.redirect_rtt().as_micros(),
-                speeds: self.config.speeds().map(<[f64]>::to_vec),
-                regions: self.scheduler.region_topology().cloned(),
-            };
-            self.scheduler.emit(&TraceEvent::Meta(meta));
-        }
-        if self.series.is_some() {
-            let policy = self.policy_label();
-            let meta = SeriesMeta {
-                substrate: "sim",
-                policy: &policy,
-                p: self.config.p(),
-                m: self.scheduler.masters(),
-                seed: self.config.seed(),
-            };
-            if let Some(rec) = &mut self.series {
-                rec.begin(&meta);
-            }
-        }
+        self.core.begin();
         // Seed the node-event index with whatever the fleet already has
         // scheduled (non-empty only when resuming after a prior run).
         for i in 0..self.nodes.len() {
@@ -447,7 +370,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 self.fail_node(t);
             } else if t_recover == Some(t) {
                 let (_, node) = self.recoveries.remove(0);
-                self.scheduler.set_dead(node, false);
+                self.core.scheduler_mut().set_dead(node, false);
             } else {
                 self.tick_monitor(t);
             }
@@ -460,11 +383,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
                 l.cpu_busy.as_secs_f64() + l.disk_busy.as_secs_f64()
             })
             .collect();
-        self.metrics.set_node_busy(busy);
-        if let Some(rec) = &mut self.series {
-            rec.flush();
-        }
-        self.metrics.summary()
+        self.core.finish(busy)
     }
 
     /// Record node `i`'s current next-event time in the lazy index.
@@ -527,8 +446,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         };
         debug_assert_eq!(fl.node, node, "completion from unexpected node");
         let req = fl.req;
-        self.scheduler.note_completion(fl.node);
-        self.scheduler.note_service_end(fl.node, c.tag, fl.served);
         // A completed CGI miss installs its result for future hits.
         if let (Some(cache), true, Some(key)) = (
             &mut self.cache,
@@ -538,33 +455,16 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             cache.insert(key, c.finished);
         }
         if fl.cache_hit {
-            self.metrics.note_cache_hit();
+            self.core.metrics_mut().note_cache_hit();
         }
-        let response = c.finished - fl.cluster_arrival;
-        let level = if req.class.is_dynamic() {
-            Some(if fl.on_master {
-                Level::Master
-            } else {
-                Level::Slave
-            })
-        } else {
-            None
-        };
-        self.metrics.record(response, req.demand.service, level);
-        if let Some(probe) = &self.telemetry {
-            probe.record_response(req.class.is_dynamic(), response.as_micros());
-        }
-        self.scheduler
-            .reservation_mut()
-            .note_response(req.class.is_dynamic(), response);
-        if self.scheduler.tracing() {
-            self.scheduler.emit(&TraceEvent::Complete {
-                req: c.tag,
-                node: fl.node,
-                dynamic: req.class.is_dynamic(),
-                response_us: response.as_micros(),
-            });
-        }
+        self.core.complete(
+            c.tag,
+            fl.node,
+            Level::of(req.class.is_dynamic(), fl.on_master),
+            c.finished - fl.cluster_arrival,
+            req.demand.service,
+            fl.served,
+        );
     }
 
     /// Produce the declaration the scheduler will be shown for a request
@@ -620,32 +520,23 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         } else {
             req.demand.service
         };
-        self.scheduler.note_request(seq, t, served_demand);
-        self.scheduler.note_origin(req.origin);
         let know = self.declare(w, expected);
-        let placed = self
-            .scheduler
-            .place(effectively_dynamic, know, &mut self.monitor);
-        let Ok(placement) = placed else {
-            // Whole cluster dead: degrade gracefully instead of aborting
-            // the experiment.
-            self.metrics.note_dropped();
-            if self.scheduler.tracing() {
-                self.scheduler.emit(&TraceEvent::Drop(DropRecord {
-                    req: seq,
-                    at_us: t.0,
-                    dynamic: effectively_dynamic,
-                    w: know.w,
-                    expected_us: know.expected.as_micros(),
-                    redrive: true,
-                    restart: false,
-                    origin: req.origin,
-                }));
-            }
+        let arrival = Arrival {
+            seq,
+            at: t,
+            demand: served_demand,
+            origin: req.origin,
+        };
+        // Whole cluster dead: the core counts and logs the drop, and the
+        // experiment degrades gracefully instead of aborting.
+        let Some(placement) =
+            self.core
+                .place(arrival, effectively_dynamic, know, &mut self.monitor)
+        else {
             return;
         };
         let on_master = placement.on_master
-            || (!req.class.is_dynamic() && self.config.policy() != PolicyKind::Flat);
+            || (!req.class.is_dynamic() && self.core.config().policy() != PolicyKind::Flat);
         self.in_flight.insert(
             seq,
             InFlight {
@@ -661,13 +552,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         if placement.latency.is_zero() {
             self.deliver(seq, placement.node, t);
         } else {
-            self.transfer_seq += 1;
-            self.transfers.push(Reverse((
-                (t + placement.latency).as_micros(),
-                self.transfer_seq,
-                seq,
-                placement.node,
-            )));
+            self.push_transfer(t + placement.latency, seq, placement.node);
         }
     }
 
@@ -683,18 +568,18 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             DemandSpec {
                 service: cc.hit_service,
                 cpu_fraction: cc.hit_cpu_fraction,
-                memory_pages: self.config.os().bytes_to_pages(fl.req.bytes),
+                memory_pages: self.core.config().os().bytes_to_pages(fl.req.bytes),
                 is_cgi: false,
             }
         } else {
-            demand_to_spec(&fl.req, &self.config)
+            demand_to_spec(&fl.req, self.core.config())
         };
         {
             let entry = self.in_flight.get_mut(&tag).expect("checked above");
             entry.node = node;
             entry.started = Some(t);
         }
-        self.scheduler.note_service_start(node, tag);
+        self.core.scheduler_mut().note_service_start(node, tag);
         self.nodes[node].submit(&spec, t, tag);
         self.note_node_event(node);
         // A zero-work spec can complete inside submit; account it now so
@@ -710,125 +595,83 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         self.failure_cursor += 1;
         let lost = self.nodes[event.node].kill_all();
         self.note_node_event(event.node);
-        self.scheduler.set_dead(event.node, true);
+        self.core.scheduler_mut().set_dead(event.node, true);
         if let Some(r) = event.recover_at {
             self.recoveries.push((r, event.node));
             self.recoveries.sort_by_key(|&(t, _)| t);
         }
         // Detection delay before restart: one monitor period.
-        let detect = self.config.monitor_period();
+        let detect = self.core.config().monitor_period();
         for tag in lost {
             let Some(fl) = self.in_flight.get(&tag).copied() else {
                 continue;
             };
-            let req = fl.req;
             // The crash loses whatever service the request had attained.
-            self.scheduler.note_service_lost(event.node, tag);
-            let attempt = event.restart_dynamic && req.class.is_dynamic();
-            let mut drop_w = req.demand.cpu_fraction;
-            let restarted = if attempt {
-                self.scheduler.note_request(tag, t, req.demand.service);
-                self.scheduler.note_origin(req.origin);
-                let know = self.declare(req.demand.cpu_fraction, self.mean_demand.1);
-                drop_w = know.w;
-                self.scheduler
-                    .replace_after_failure(true, know, &mut self.monitor)
-                    .ok()
-            } else {
-                None
-            };
-            if let Some(placement) = restarted {
+            self.core.scheduler_mut().note_service_lost(event.node, tag);
+            if let Some(placement) = self.redrive(tag, fl.req, t, event.restart_dynamic) {
                 let entry = self.in_flight.get_mut(&tag).expect("checked above");
                 entry.on_master = placement.on_master;
                 entry.started = None;
-                self.metrics.note_restarted();
-                self.transfer_seq += 1;
-                self.transfers.push(Reverse((
-                    (t + detect + placement.latency).as_micros(),
-                    self.transfer_seq,
-                    tag,
-                    placement.node,
-                )));
-            } else {
-                self.in_flight.remove(&tag);
-                self.metrics.note_dropped();
-                self.emit_failure_drop(tag, t, req.class.is_dynamic(), drop_w, attempt, req.origin);
+                self.push_transfer(t + detect + placement.latency, tag, placement.node);
             }
         }
         // Requests in flight *towards* the dead node: re-route them too.
         let pending: Vec<_> = std::mem::take(&mut self.transfers).into_vec();
         for Reverse((at, seq, tag, node)) in pending {
-            let fl = self.in_flight.get(&tag).copied();
-            match fl {
+            match self.in_flight.get(&tag).copied() {
                 Some(fl) if node == event.node => {
-                    let r = fl.req;
-                    let attempt = event.restart_dynamic && r.class.is_dynamic();
-                    let mut drop_w = r.demand.cpu_fraction;
-                    let restarted = if attempt {
-                        self.scheduler.note_request(tag, t, r.demand.service);
-                        self.scheduler.note_origin(r.origin);
-                        let know = self.declare(r.demand.cpu_fraction, self.mean_demand.1);
-                        drop_w = know.w;
-                        self.scheduler
-                            .replace_after_failure(true, know, &mut self.monitor)
-                            .ok()
-                    } else {
-                        None
-                    };
-                    if let Some(placement) = restarted {
-                        self.metrics.note_restarted();
-                        self.transfer_seq += 1;
-                        self.transfers.push(Reverse((
-                            (t + detect + placement.latency).as_micros(),
-                            self.transfer_seq,
-                            tag,
-                            placement.node,
-                        )));
-                    } else {
-                        self.in_flight.remove(&tag);
-                        self.metrics.note_dropped();
-                        self.emit_failure_drop(
-                            tag,
-                            t,
-                            r.class.is_dynamic(),
-                            drop_w,
-                            attempt,
-                            r.origin,
-                        );
+                    if let Some(placement) = self.redrive(tag, fl.req, t, event.restart_dynamic) {
+                        self.push_transfer(t + detect + placement.latency, tag, placement.node);
                     }
                 }
-                _ => {
-                    self.transfers.push(Reverse((at, seq, tag, node)));
-                }
+                _ => self.transfers.push(Reverse((at, seq, tag, node))),
             }
         }
     }
 
-    /// Emit a fail-over drop event: `redrive` records whether the
-    /// scheduler actually ran (and advanced its RNG) before the drop,
+    /// Re-place a request lost to a failed node when the plan restarts
+    /// dynamic work, or drop it. A fail-over drop records in `redrive`
+    /// whether the scheduler actually ran (and advanced its RNG) first,
     /// in which case `w` is the weight the failed call was given.
-    fn emit_failure_drop(
+    fn redrive(
         &mut self,
-        req: u64,
+        tag: u64,
+        req: Request,
         t: SimTime,
-        dynamic: bool,
-        w: f64,
-        redrive: bool,
-        origin: usize,
-    ) {
-        if !self.scheduler.tracing() {
-            return;
+        restart_dynamic: bool,
+    ) -> Option<Placement> {
+        let attempt = restart_dynamic && req.class.is_dynamic();
+        let mut drop_w = req.demand.cpu_fraction;
+        if attempt {
+            let know = self.declare(req.demand.cpu_fraction, self.mean_demand.1);
+            drop_w = know.w;
+            let scheduler = self.core.scheduler_mut();
+            scheduler.note_request(tag, t, req.demand.service);
+            scheduler.note_origin(req.origin);
+            if let Ok(placement) = scheduler.replace_after_failure(true, know, &mut self.monitor) {
+                self.core.metrics_mut().note_restarted();
+                return Some(placement);
+            }
         }
-        self.scheduler.emit(&TraceEvent::Drop(DropRecord {
-            req,
+        self.in_flight.remove(&tag);
+        self.core.drop_request(DropRecord {
+            req: tag,
             at_us: t.0,
-            dynamic,
-            w,
+            dynamic: req.class.is_dynamic(),
+            w: drop_w,
             expected_us: self.mean_demand.1.as_micros(),
-            redrive,
+            redrive: attempt,
             restart: true,
-            origin,
-        }));
+            origin: req.origin,
+        });
+        None
+    }
+
+    /// Queue a transfer of request `tag` to `node`, delivered at `at`.
+    fn push_transfer(&mut self, at: SimTime, tag: u64, node: usize) {
+        self.transfer_seq += 1;
+        self.transfers
+            .push(Reverse((at.as_micros(), self.transfer_seq, tag, node)));
     }
 
     /// Load-monitor tick: refresh stale load info, update the
@@ -842,7 +685,7 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         // node, capped at the true demand. Per-tag maxima make the feed
         // independent of map iteration order.
         {
-            let scheduler = &mut self.scheduler;
+            let scheduler = self.core.scheduler_mut();
             for (&tag, fl) in self.in_flight.iter() {
                 if let Some(started) = fl.started {
                     let attained = (t - started).min(fl.served);
@@ -863,76 +706,22 @@ impl<Sch: Schedule> ClusterSim<Sch> {
         // (CPU + disk, which execute serially within one request) per
         // second of window, averaged across nodes.
         let rho = self.monitor.mean_utilisation();
-        // Capture the windowed master fraction before update() resets it.
-        let theta_hat = self.scheduler.reservation().master_fraction();
-        self.scheduler.reservation_mut().update(rho);
-        // The window sample and busy gauges feed the probe and the
-        // series recorder alike; compute them once when either wants
-        // them (pure reads — skipping them cannot change the run).
-        let mut window = None;
-        if self.telemetry.is_some() || self.series.is_some() {
-            let res = self.scheduler.reservation();
-            let (a_hat, r_hat) = res.measured();
-            let sample = WindowSample {
-                at_us: t.0,
-                theta2_star: res.theta2_star(),
-                a_hat,
-                r_hat,
-                rho,
-                theta_hat,
-                clamp_events: res.clamp_events(),
-            };
-            let busy: Vec<f64> = self
-                .monitor
+        // Busy gauges are a pure read, computed only when the window
+        // sample is wanted — skipping them cannot change the run.
+        let busy: Option<Vec<f64>> = self.core.wants_window().then(|| {
+            self.monitor
                 .all()
                 .iter()
                 .map(|l| 1.0 - l.cpu_idle_ratio)
-                .collect();
-            if let Some(probe) = &self.telemetry {
-                probe.record_window(sample);
-                probe.set_node_busy(&busy);
-            }
-            window = Some((sample, busy));
-        }
-        let window_stretch = self.metrics.close_window();
-        if let Some(rec) = &mut self.series {
-            let (sample, busy) = window.as_ref().expect("window computed when series is on");
-            rec.record(&SeriesWindowInput {
-                window: sample,
-                sched: self.scheduler.telemetry(),
-                node_busy: busy,
-                window_stretch,
-                drops: self.metrics.dropped(),
-            });
-        }
-        if self.scheduler.tracing() {
-            self.scheduler.emit(&TraceEvent::Tick {
-                at_us: t.0,
-                rho,
-                nodes: snapshots.iter().map(NodeSample::from_snapshot).collect(),
-            });
-        }
-        if let Some(engine) = self.slo.as_mut() {
-            let alerts = engine.observe_cumulative(
-                t.0,
-                window_stretch,
-                self.metrics.completed(),
-                self.metrics.dropped(),
-                self.scheduler.reservation().clamp_events(),
-            );
-            for alert in &alerts {
-                eprintln!("{}", alert.to_line());
-                if self.scheduler.tracing() {
-                    self.scheduler.emit(&alert.to_trace_event());
-                }
-            }
-        }
+                .collect()
+        });
+        self.core.tick(t, &snapshots, rho, busy.as_deref());
     }
 
     /// Per-monitor-window mean stretch across the run — the convergence
     /// trace of the self-stabilising reservation (§4).
     pub fn stretch_series(&self) -> &[f64] {
-        self.metrics.window_series()
+        self.core.metrics().window_series()
     }
 }
 
@@ -1091,21 +880,6 @@ impl RunOptions {
     }
 }
 
-/// What one simulated run produced.
-#[derive(Debug)]
-pub struct RunOutcome {
-    /// The run summary.
-    pub summary: RunSummary,
-    /// The telemetry snapshot, when [`RunOptions::telemetry`] was set.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// The series recorder, flushed, when [`RunOptions::series`] was
-    /// set (e.g. to read [`SeriesRecorder::records`]).
-    pub series: Option<SeriesRecorder>,
-    /// The SLO engine after the run, when [`RunOptions::slo`] was set
-    /// (e.g. to read [`SloEngine::alerts_fired`]).
-    pub slo: Option<SloEngine>,
-}
-
 /// Run one policy over a materialized trace with priors estimated from
 /// the trace itself. See [`RunOptions`] for the observer/telemetry
 /// switches; use [`simulate_source`] to stream workloads too long to
@@ -1138,19 +912,7 @@ pub fn simulate_source<S: RequestSource>(
         sim = sim.with_slo(engine);
     }
     let summary = sim.run_source(source);
-    let telemetry = if opts.telemetry {
-        sim.telemetry_snapshot()
-    } else {
-        None
-    };
-    let series = sim.take_series();
-    let slo = sim.slo.take();
-    RunOutcome {
-        summary,
-        telemetry,
-        series,
-        slo,
-    }
+    sim.core.outcome(summary, opts.telemetry)
 }
 
 /// Build the [`ClusterSim`] that [`simulate`] would run: reservation

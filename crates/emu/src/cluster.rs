@@ -2,11 +2,13 @@
 //! value as the simulator.
 //!
 //! [`emulate`] replays a workload against `p` node worker threads using
-//! `msweb-cluster`'s scheduling pipeline, [`LoadMonitor`] and
-//! [`Metrics`] unchanged — so the validation experiment (the paper's
-//! Table 3) compares the *same scheduling code* executing against the
-//! simulated OS model versus real wall-clock execution, exactly as the
-//! paper compared its simulator against the Sun-cluster prototype.
+//! `msweb-cluster`'s scheduling pipeline, [`LoadMonitor`] and run
+//! protocol ([`RunCore`]: headers, placement, completion accounting,
+//! monitor windows, SLO alerts, summary) unchanged — so the validation
+//! experiment (the paper's Table 3) compares the *same scheduling code*
+//! executing against the simulated OS model versus real wall-clock
+//! execution, exactly as the paper compared its simulator against the
+//! Sun-cluster prototype. Runs return the simulator's [`RunOutcome`].
 //! [`emulate_with`] accepts any [`Schedule`] implementation (e.g. a
 //! registry composition, or a [`PolicyScheduler`] with a
 //! `DecisionObserver` installed), built via [`live_scheduler`];
@@ -21,10 +23,8 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use msweb_cluster::{
-    render_top, ClusterConfig, DropRecord, Level, LoadMonitor, Metrics, NodeSample, PolicyKind,
-    PolicyScheduler, ReqKnowledge, RunMeta, RunSummary, SchedTelemetry, Schedule, SeriesMeta,
-    SeriesRecorder, SeriesWindowInput, SloEngine, TelemetryProbe, TelemetrySnapshot, TraceEvent,
-    WindowSample, WorkloadStats,
+    render_top, Arrival, ClusterConfig, Level, LoadMonitor, PolicyKind, PolicyScheduler,
+    ReqKnowledge, RunCore, RunOutcome, Schedule, SeriesRecorder, SloEngine, WorkloadStats,
 };
 use msweb_ossim::LoadSnapshot;
 use msweb_simcore::{SimDuration, SimTime};
@@ -102,23 +102,6 @@ fn to_sim(d: Duration) -> SimDuration {
     SimDuration::from_micros(d.as_micros() as u64)
 }
 
-/// Class demand means of `trace` in unscaled seconds: (static, dynamic).
-fn class_means(trace: &Trace) -> (f64, f64) {
-    let (mut ds, mut nd, mut ss, mut ns) = (0.0f64, 0u64, 0.0f64, 0u64);
-    for r in &trace.requests {
-        if r.class.is_dynamic() {
-            ds += r.demand.service.as_secs_f64();
-            nd += 1;
-        } else {
-            ss += r.demand.service.as_secs_f64();
-            ns += 1;
-        }
-    }
-    let stat_mean = if ns > 0 { ss / ns as f64 } else { 1.0 / 110.0 };
-    let dyn_mean = if nd > 0 { ds / nd as f64 } else { stat_mean };
-    (stat_mean, dyn_mean)
-}
-
 /// Build the scheduler a live run of `config` over `trace` uses —
 /// exactly the value [`emulate`] constructs internally. Build it
 /// yourself (to install an observer, or to substitute a registry
@@ -135,31 +118,18 @@ pub fn live_scheduler(config: &LiveConfig, trace: &Trace) -> PolicyScheduler {
 /// recorded in the decision log's meta line so replay can rebuild an
 /// identical composition.
 pub fn live_priors(trace: &Trace) -> (f64, f64) {
-    let summary = trace.summary();
-    let a0 = if summary.arrival_ratio_a.is_finite() && summary.arrival_ratio_a > 0.0 {
-        summary.arrival_ratio_a.clamp(0.01, 10.0)
-    } else {
-        0.5
-    };
-    let (stat_mean, dyn_mean) = class_means(trace);
-    let r0 = (stat_mean / dyn_mean).clamp(1e-4, 1.0);
-    (a0, r0)
+    let stats = live_stats(trace);
+    (stats.a0, stats.r0)
 }
 
-/// The workload statistics a live run derives from `trace`: the
+/// The workload statistics a live run derives from `trace` — the same
+/// estimate the simulator makes ([`WorkloadStats::from_trace`]): the
 /// [`live_priors`] pair plus the class demand means used to charge the
 /// stale load view. [`emulate_source`] takes this value directly so
 /// streaming callers can compute it from a measuring pass (or
 /// analytically) without materializing the workload.
 pub fn live_stats(trace: &Trace) -> WorkloadStats {
-    let (a0, r0) = live_priors(trace);
-    let (stat_mean, dyn_mean) = class_means(trace);
-    WorkloadStats {
-        a0,
-        r0,
-        static_mean: SimDuration::from_secs_f64(stat_mean),
-        dynamic_mean: SimDuration::from_secs_f64(dyn_mean),
-    }
+    WorkloadStats::from_trace(trace)
 }
 
 /// Options for one live run: the builder-style entry point that replaced
@@ -169,7 +139,7 @@ pub struct LiveRunOptions {
     /// Enable live telemetry: scheduler per-stage counters, controller
     /// samples each monitor tick, and a sampler thread turning node
     /// counters into busy gauges. The snapshot comes back in
-    /// [`LiveOutcome::telemetry`].
+    /// [`RunOutcome::telemetry`].
     pub telemetry: bool,
     /// Also render a `top`-style table to stderr each monitor period
     /// (implies nothing unless `telemetry` is set).
@@ -228,28 +198,12 @@ impl LiveRunOptions {
     }
 }
 
-/// What one live run produced.
-#[derive(Debug)]
-pub struct LiveOutcome {
-    /// The run summary (same type as the simulator's).
-    pub summary: RunSummary,
-    /// The telemetry snapshot (substrate `"live"`), when
-    /// [`LiveRunOptions::telemetry`] was set.
-    pub telemetry: Option<TelemetrySnapshot>,
-    /// The series recorder, flushed, when [`LiveRunOptions::series`]
-    /// was set.
-    pub series: Option<SeriesRecorder>,
-    /// The SLO engine after the run, when [`LiveRunOptions::slo`] was
-    /// set (e.g. to read [`SloEngine::alerts_fired`]).
-    pub slo: Option<SloEngine>,
-}
-
 /// Replay `trace` on a live thread-backed cluster; blocks until every
 /// request completes and returns the same summary type the simulator
 /// produces. Response times and demands are reported in *scaled* time,
 /// so stretch factors are directly comparable with simulation runs of
 /// the same workload.
-pub fn emulate(config: &LiveConfig, trace: &Trace, opts: LiveRunOptions) -> LiveOutcome {
+pub fn emulate(config: &LiveConfig, trace: &Trace, opts: LiveRunOptions) -> RunOutcome {
     let scheduler = live_scheduler(config, trace);
     emulate_with(config, trace, scheduler, opts)
 }
@@ -262,22 +216,8 @@ pub fn emulate_with<S: Schedule>(
     trace: &Trace,
     scheduler: S,
     opts: LiveRunOptions,
-) -> LiveOutcome {
+) -> RunOutcome {
     emulate_source(config, trace.source(), live_stats(trace), scheduler, opts)
-}
-
-/// Drive a streaming [`RequestSource`] on the live cluster. The caller
-/// supplies [`WorkloadStats`] (see [`live_stats`] for the materialized
-/// equivalent); per-request bookkeeping is dropped on completion, so
-/// memory stays O(in-flight requests) regardless of stream length.
-pub fn emulate_source<S: Schedule, Src: RequestSource>(
-    config: &LiveConfig,
-    source: Src,
-    stats: WorkloadStats,
-    scheduler: S,
-    opts: LiveRunOptions,
-) -> LiveOutcome {
-    run_live_inner(config, source, stats, scheduler, opts)
 }
 
 /// Per-request bookkeeping for a live request between placement and
@@ -297,69 +237,40 @@ struct LiveFlight {
     started: Instant,
 }
 
-fn run_live_inner<S: Schedule, Src: RequestSource>(
+/// Drive a streaming [`RequestSource`] on the live cluster. The caller
+/// supplies [`WorkloadStats`] (see [`live_stats`] for the materialized
+/// equivalent); per-request bookkeeping is dropped on completion, so
+/// memory stays O(in-flight requests) regardless of stream length.
+pub fn emulate_source<S: Schedule, Src: RequestSource>(
     config: &LiveConfig,
     mut source: Src,
     stats: WorkloadStats,
-    mut scheduler: S,
+    scheduler: S,
     mut opts: LiveRunOptions,
-) -> LiveOutcome {
+) -> RunOutcome {
     assert!(config.p >= 1);
     assert!(
         config.time_scale > 0.0 && config.time_scale.is_finite(),
         "bad time scale"
     );
+    let cc = config.cluster_config();
+    let monitor_period = cc.monitor_period();
+    let mut core = RunCore::new("live", cc, scheduler, (stats.a0, stats.r0));
+    core.set_spec(config.spec.clone());
     // The series recorder and the metrics endpoint both read the probe
     // (busy gauges) and the scheduler counters, so they imply them even
     // when the caller did not ask for a snapshot back.
-    let want_snapshot = opts.telemetry;
-    let probe_needed = opts.telemetry || opts.series.is_some() || opts.metrics.is_some();
-    let telemetry = if probe_needed {
-        Some((TelemetryProbe::new(), opts.top && opts.telemetry))
-    } else {
-        None
-    };
-    let mut series = opts.series.take();
-    let mut slo = opts.slo.take();
+    if opts.telemetry || opts.series.is_some() || opts.metrics.is_some() {
+        core.enable_telemetry();
+    }
+    if let Some(rec) = opts.series.take() {
+        core.set_series(rec);
+    }
+    if let Some(engine) = opts.slo.take() {
+        core.set_slo(engine);
+    }
     let metrics_server = opts.metrics.take();
-    if telemetry.is_some() {
-        scheduler.set_telemetry_enabled(true);
-    }
-    let probe_ref = telemetry.as_ref().map(|(p, _)| p);
-
-    let cc = config.cluster_config();
-    if scheduler.tracing() {
-        scheduler.emit(&TraceEvent::Meta(RunMeta {
-            substrate: "live".to_string(),
-            p: cc.p(),
-            m: scheduler.masters(),
-            policy: cc.policy().slug().to_string(),
-            spec: config.spec.clone(),
-            seed: cc.seed(),
-            a0: stats.a0,
-            r0: stats.r0,
-            master_reserve: cc.master_reserve(),
-            dns_skew: cc.dns_skew(),
-            monitor_period_us: cc.monitor_period().as_micros(),
-            remote_latency_us: cc.remote_latency().as_micros(),
-            redirect_rtt_us: cc.redirect_rtt().as_micros(),
-            speeds: cc.speeds().map(<[f64]>::to_vec),
-            regions: scheduler.region_topology().cloned(),
-        }));
-    }
-    if let Some(rec) = &mut series {
-        let policy = match &config.spec {
-            Some(spec) => spec.clone(),
-            None => cc.policy().slug().to_string(),
-        };
-        rec.begin(&SeriesMeta {
-            substrate: "live",
-            policy: &policy,
-            p: cc.p(),
-            m: scheduler.masters(),
-            seed: cc.seed(),
-        });
-    }
+    core.begin();
     // Charges are in wall (scaled) time, matching the monitor's window.
     let stat_charge = to_sim(config.scale(stats.static_mean));
     let dyn_charge = to_sim(config.scale(stats.dynamic_mean));
@@ -390,13 +301,13 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     // gauges once per monitor period (and optionally renders `top`).
     // It only ever reads the shared atomics and writes to the probe, so
     // it stays entirely off the dispatch path.
-    let sampler = telemetry.as_ref().map(|(probe, top)| {
+    let top = opts.top && opts.telemetry;
+    let sampler = core.probe().map(|probe| {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let probe = probe.clone();
         let stats: Vec<Arc<NodeStats>> = stats_shared.iter().map(Arc::clone).collect();
         let interval = config.monitor_period;
-        let top = *top;
         let handle = std::thread::spawn(move || {
             let step = interval.min(Duration::from_millis(25));
             let mut prev_busy = vec![0u64; stats.len()];
@@ -415,8 +326,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
                 let mut in_flight = Vec::with_capacity(stats.len());
                 let mut finished = Vec::with_capacity(stats.len());
                 for (i, s) in stats.iter().enumerate() {
-                    let b = s.cpu_busy_ns.load(Ordering::Relaxed)
-                        + s.io_busy_ns.load(Ordering::Relaxed);
+                    let b = s.busy_ns();
                     busy.push(((b.saturating_sub(prev_busy[i])) as f64 / wall).clamp(0.0, 1.0));
                     prev_busy[i] = b;
                     in_flight.push(s.in_flight.load(Ordering::Relaxed));
@@ -435,8 +345,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     });
 
     let t0 = Instant::now();
-    let mut monitor = LoadMonitor::new(config.p, cc.monitor_period(), SimTime::ZERO);
-    let mut metrics = Metrics::new();
+    let mut monitor = LoadMonitor::new(config.p, monitor_period, SimTime::ZERO);
 
     // Per-request bookkeeping, dropped on completion: placement
     // level/node for attribution and connection-count release.
@@ -444,9 +353,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     let mut next_monitor = t0 + config.monitor_period;
     // Pending remote transfers: (send-at, node, job).
     let mut transfers: Vec<(Instant, usize, Job)> = Vec::new();
-    let mut admitted = 0usize;
-    let mut completed = 0usize;
-    let mut dropped = 0usize;
+    let mut admitted = 0u64;
 
     let deliver_due =
         |transfers: &mut Vec<(Instant, usize, Job)>, senders: &[Sender<NodeMsg>], now: Instant| {
@@ -466,175 +373,68 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
             .iter()
             .map(|s| LoadSnapshot {
                 at,
-                cpu_busy: SimDuration::from_micros(
-                    s.cpu_busy_ns.load(std::sync::atomic::Ordering::Relaxed) / 1000,
-                ),
-                disk_busy: SimDuration::from_micros(
-                    s.io_busy_ns.load(std::sync::atomic::Ordering::Relaxed) / 1000,
-                ),
+                cpu_busy: SimDuration::from_micros(s.cpu_busy_ns.load(Ordering::Relaxed) / 1000),
+                disk_busy: SimDuration::from_micros(s.io_busy_ns.load(Ordering::Relaxed) / 1000),
                 mem_free_ratio: 1.0,
-                ready_len: s.in_flight.load(std::sync::atomic::Ordering::Relaxed) as usize,
+                ready_len: s.in_flight.load(Ordering::Relaxed) as usize,
                 disk_queue_len: 0,
-                processes: s.in_flight.load(std::sync::atomic::Ordering::Relaxed) as usize,
+                processes: s.in_flight.load(Ordering::Relaxed) as usize,
             })
             .collect()
     };
 
-    let time_scale = config.time_scale;
-    let handle_done = |d: Done,
-                       in_flight: &mut HashMap<u64, LiveFlight>,
-                       metrics: &mut Metrics,
-                       scheduler: &mut S,
-                       completed: &mut usize| {
+    // Response and demand are both in scaled time; a live request is
+    // served exactly its scaled demand.
+    let handle_done = |d: Done, in_flight: &mut HashMap<u64, LiveFlight>, core: &mut RunCore<S>| {
         let fl = in_flight
             .remove(&d.id)
             .expect("completion for request not in flight");
-        let response = to_sim(d.finished - fl.arrived);
-        let demand = to_sim(Duration::from_nanos(
-            (fl.service.as_micros() as f64 * 1000.0 * time_scale) as u64,
-        ));
-        let level = if fl.dynamic {
-            Some(if fl.on_master {
-                Level::Master
-            } else {
-                Level::Slave
-            })
-        } else {
-            None
-        };
-        metrics.record(response, demand, level);
-        if let Some(probe) = probe_ref {
-            probe.record_response(fl.dynamic, response.as_micros());
-        }
-        // Release the connection slot — keeps switch-style counts
-        // truthful, matching the simulator's completion path.
-        scheduler.note_completion(fl.node);
-        scheduler.note_service_end(fl.node, d.id, demand);
-        scheduler
-            .reservation_mut()
-            .note_response(fl.dynamic, response);
-        if scheduler.tracing() {
-            scheduler.emit(&TraceEvent::Complete {
-                req: d.id,
-                node: fl.node,
-                dynamic: fl.dynamic,
-                response_us: response.as_micros(),
-            });
-        }
-        *completed += 1;
+        let demand = to_sim(config.scale(fl.service));
+        core.complete(
+            d.id,
+            fl.node,
+            Level::of(fl.dynamic, fl.on_master),
+            to_sim(d.finished - fl.arrived),
+            demand,
+            demand,
+        );
     };
 
     // Replay loop.
     let mut next_req = source.next();
     while let Some(req) = next_req {
-        let idx = admitted as u64;
+        let idx = admitted;
         let target = t0 + config.scale(req.arrival - SimTime::ZERO);
         // Until the arrival is due: collect completions, tick the
         // monitor, flush transfers.
         loop {
             while let Ok(d) = done_rx.try_recv() {
-                handle_done(
-                    d,
-                    &mut in_flight,
-                    &mut metrics,
-                    &mut scheduler,
-                    &mut completed,
-                );
+                handle_done(d, &mut in_flight, &mut core);
             }
             let now = Instant::now();
             deliver_due(&mut transfers, &senders, now);
             if now >= next_monitor {
-                let at = to_sim(now - t0);
-                let snaps = snapshot(&stats_shared, SimTime(at.as_micros()));
-                monitor.tick(SimTime(at.as_micros()), &snaps);
+                let at = SimTime(to_sim(now - t0).as_micros());
+                let snaps = snapshot(&stats_shared, at);
+                monitor.tick(at, &snaps);
                 // Feed attained service: wall-clock time on-node (which
                 // *is* scaled time), capped at the scaled demand —
                 // mirrors the simulator's per-tick progress reports.
+                let scheduler = core.scheduler_mut();
                 for (&id, fl) in in_flight.iter() {
                     if now < fl.started {
                         continue;
                     }
-                    let cap = to_sim(Duration::from_nanos(
-                        (fl.service.as_micros() as f64 * 1000.0 * time_scale) as u64,
-                    ));
-                    let attained = to_sim(now - fl.started).min(cap);
+                    let attained = to_sim(now - fl.started).min(to_sim(config.scale(fl.service)));
                     scheduler.note_service_progress(fl.node, id, attained);
                 }
-                let rho = monitor.mean_utilisation();
-                // Capture the windowed master fraction before update()
-                // resets it (same ordering as the simulator).
-                let theta_hat = scheduler.reservation().master_fraction();
-                scheduler.reservation_mut().update(rho);
-                let mut window = None;
-                if probe_ref.is_some() {
-                    let res = scheduler.reservation();
-                    let (a_hat, r_hat) = res.measured();
-                    let sample = WindowSample {
-                        at_us: at.as_micros(),
-                        theta2_star: res.theta2_star(),
-                        a_hat,
-                        r_hat,
-                        rho,
-                        theta_hat,
-                        clamp_events: res.clamp_events(),
-                    };
-                    if let Some(probe) = probe_ref {
-                        probe.record_window(sample);
+                // Busy gauges stay the sampler thread's (wall-clock,
+                // like `at`).
+                core.tick(at, &snaps, monitor.mean_utilisation(), None);
+                if let Some(server) = &metrics_server {
+                    if let Some(snap) = core.snapshot() {
+                        server.publish(snap.to_prometheus());
                     }
-                    window = Some(sample);
-                }
-                let window_stretch = metrics.close_window();
-                if let Some(rec) = &mut series {
-                    let sample = window.as_ref().expect("series implies the probe");
-                    // Busy gauges come from the sampler thread's latest
-                    // pass (wall-clock, like `at_us`).
-                    let busy = probe_ref.map(TelemetryProbe::node_busy).unwrap_or_default();
-                    rec.record(&SeriesWindowInput {
-                        window: sample,
-                        sched: scheduler.telemetry(),
-                        node_busy: &busy,
-                        window_stretch,
-                        drops: metrics.dropped(),
-                    });
-                }
-                if scheduler.tracing() {
-                    scheduler.emit(&TraceEvent::Tick {
-                        at_us: at.as_micros(),
-                        rho,
-                        nodes: snaps.iter().map(NodeSample::from_snapshot).collect(),
-                    });
-                }
-                if let Some(engine) = &mut slo {
-                    let alerts = engine.observe_cumulative(
-                        at.as_micros(),
-                        window_stretch,
-                        metrics.completed(),
-                        metrics.dropped(),
-                        scheduler.reservation().clamp_events(),
-                    );
-                    for alert in &alerts {
-                        eprintln!("{}", alert.to_line());
-                        if scheduler.tracing() {
-                            scheduler.emit(&alert.to_trace_event());
-                        }
-                    }
-                }
-                if let (Some(server), Some(probe)) = (&metrics_server, probe_ref) {
-                    let sched_tel = scheduler
-                        .telemetry()
-                        .cloned()
-                        .unwrap_or_else(|| SchedTelemetry::new(cc.p()));
-                    let snap = TelemetrySnapshot::assemble(
-                        "live",
-                        cc.policy().slug(),
-                        cc.seed(),
-                        scheduler.masters(),
-                        &sched_tel,
-                        scheduler.scorer_path_counts(),
-                        scheduler.reservation().clamp_events(),
-                        probe,
-                    );
-                    server.publish(snap.to_prometheus());
                 }
                 next_monitor += config.monitor_period;
                 continue;
@@ -655,30 +455,18 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         next_req = source.next();
         let dynamic = req.class.is_dynamic();
         let expected = if dynamic { dyn_charge } else { stat_charge };
-        let at_us = to_sim(now - t0).as_micros();
-        let scaled_demand = to_sim(Duration::from_nanos(
-            (req.demand.service.as_micros() as f64 * 1000.0 * config.time_scale) as u64,
-        ));
-        scheduler.note_request(idx, SimTime(at_us), scaled_demand);
-        scheduler.note_origin(req.origin);
+        let arrival = Arrival {
+            seq: idx,
+            at: SimTime(to_sim(now - t0).as_micros()),
+            demand: to_sim(config.scale(req.demand.service)),
+            origin: req.origin,
+        };
         // The live front-end only ever knows the class-mean charge, not
         // the request's true demand — declare it as a sampled estimate.
         let know = ReqKnowledge::sampled(req.demand.cpu_fraction, expected);
-        let Ok(placement) = scheduler.place(dynamic, know, &mut monitor) else {
-            // Whole cluster dead: degrade gracefully, as the simulator
-            // does.
-            scheduler.emit(&TraceEvent::Drop(DropRecord {
-                req: idx,
-                at_us,
-                dynamic,
-                w: know.w,
-                expected_us: know.expected.as_micros(),
-                redrive: true,
-                restart: false,
-                origin: req.origin,
-            }));
-            metrics.note_dropped();
-            dropped += 1;
+        // Whole cluster dead: the core counts and logs the drop, as on
+        // the simulator.
+        let Some(placement) = core.place(arrival, dynamic, know, &mut monitor) else {
             continue;
         };
         // Scale the placement's own transfer latency (remote hop plus
@@ -700,7 +488,7 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
                 started,
             },
         );
-        scheduler.note_service_start(placement.node, idx);
+        core.scheduler_mut().note_service_start(placement.node, idx);
         let cpu = config.scale(req.demand.service.mul_f64(req.demand.cpu_fraction));
         let io = config.scale(req.demand.service).saturating_sub(cpu);
         let job = Job {
@@ -718,17 +506,11 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
     }
 
     // Drain: flush transfers, then wait for all completions.
-    while completed + dropped < admitted {
+    while core.metrics().completed() + core.metrics().dropped() < admitted {
         let now = Instant::now();
         deliver_due(&mut transfers, &senders, now);
         match done_rx.recv_timeout(Duration::from_millis(5)) {
-            Ok(d) => handle_done(
-                d,
-                &mut in_flight,
-                &mut metrics,
-                &mut scheduler,
-                &mut completed,
-            ),
+            Ok(d) => handle_done(d, &mut in_flight, &mut core),
             Err(_) => {
                 // Timeout: loop to flush any transfer that became due.
                 if transfers.is_empty() && now.elapsed() > Duration::from_secs(300) {
@@ -748,94 +530,38 @@ fn run_live_inner<S: Schedule, Src: RequestSource>(
         stop.store(true, Ordering::Relaxed);
         let _ = handle.join();
     }
-    if let Some(probe) = probe_ref {
-        // A replay shorter than one monitor period never ticks; leave
-        // at least one controller sample so the series is never empty.
-        if probe.window_count() == 0 {
-            let res = scheduler.reservation();
-            let (a_hat, r_hat) = res.measured();
-            probe.record_window(WindowSample {
-                at_us: to_sim(t0.elapsed()).as_micros(),
-                theta2_star: res.theta2_star(),
-                a_hat,
-                r_hat,
-                rho: monitor.mean_utilisation(),
-                theta_hat: res.master_fraction(),
-                clamp_events: res.clamp_events(),
-            });
-        }
-        // Leave a whole-run busy average in the gauges so even runs
-        // shorter than one sampler interval report `p` entries.
-        let wall = t0.elapsed().as_nanos().max(1) as f64;
-        let busy: Vec<f64> = stats_shared
-            .iter()
-            .map(|s| {
-                let b =
-                    s.cpu_busy_ns.load(Ordering::Relaxed) + s.io_busy_ns.load(Ordering::Relaxed);
-                (b as f64 / wall).clamp(0.0, 1.0)
-            })
-            .collect();
-        probe.set_node_busy(&busy);
-        // The same guarantee for the series: a replay shorter than one
-        // monitor period still yields one (whole-run) record.
-        if let Some(rec) = &mut series {
-            if rec.records() == 0 {
-                let sample = probe.last_window().expect("fallback window recorded");
-                rec.record(&SeriesWindowInput {
-                    window: &sample,
-                    sched: scheduler.telemetry(),
-                    node_busy: &busy,
-                    window_stretch: metrics.close_window(),
-                    drops: metrics.dropped(),
-                });
-            }
-        }
-    }
+    // A replay shorter than one monitor period never ticks; leave at
+    // least one controller window and series record, and a whole-run
+    // busy average in the gauges so even runs shorter than one sampler
+    // interval report `p` entries.
+    let wall = t0.elapsed();
+    let wall_ns = wall.as_nanos().max(1) as f64;
+    let busy: Vec<f64> = stats_shared
+        .iter()
+        .map(|s| (s.busy_ns() as f64 / wall_ns).clamp(0.0, 1.0))
+        .collect();
+    core.ensure_window(
+        SimTime(to_sim(wall).as_micros()),
+        monitor.mean_utilisation(),
+        &busy,
+    );
     // Feed the per-node busy time into the shared metrics type so the
     // live path fills the same balance fields (CV, peak-to-mean) the
     // simulator does — Table 3 rows then compare two complete
     // `RunSummary` values instead of a hand-picked subset.
-    let busy: Vec<f64> = stats_shared
-        .iter()
-        .map(|s| {
-            (s.cpu_busy_ns.load(std::sync::atomic::Ordering::Relaxed)
-                + s.io_busy_ns.load(std::sync::atomic::Ordering::Relaxed)) as f64
-                / 1e9
-        })
-        .collect();
-    metrics.set_node_busy(busy);
-    let snapshot = telemetry.filter(|_| want_snapshot).map(|(probe, _)| {
-        let sched_tel = scheduler
-            .telemetry()
-            .cloned()
-            .unwrap_or_else(|| SchedTelemetry::new(cc.p()));
-        TelemetrySnapshot::assemble(
-            "live",
-            cc.policy().slug(),
-            cc.seed(),
-            scheduler.masters(),
-            &sched_tel,
-            scheduler.scorer_path_counts(),
-            scheduler.reservation().clamp_events(),
-            &probe,
-        )
-    });
-    if let Some(rec) = &mut series {
-        rec.flush();
-    }
+    let summary = core.finish(
+        stats_shared
+            .iter()
+            .map(|s| s.busy_ns() as f64 / 1e9)
+            .collect(),
+    );
+    let outcome = core.outcome(summary, opts.telemetry);
     // One last publish so a scrape racing the run's end sees the final
     // numbers (the endpoint itself lives until the server is dropped).
-    if let Some(server) = &metrics_server {
-        if let Some(snap) = &snapshot {
-            server.publish(snap.to_prometheus());
-        }
+    if let (Some(server), Some(snap)) = (&metrics_server, &outcome.telemetry) {
+        server.publish(snap.to_prometheus());
     }
-    LiveOutcome {
-        summary: metrics.summary(),
-        telemetry: snapshot,
-        series,
-        slo,
-    }
+    outcome
 }
 
 #[cfg(test)]
@@ -984,7 +710,7 @@ mod tests {
         );
         // The snapshot round-trips through its own JSON encoding.
         let v = serde::Value::parse(&snap.to_json()).expect("parse own JSON");
-        let back = TelemetrySnapshot::from_value(&v).expect("decode own JSON");
+        let back = msweb_cluster::TelemetrySnapshot::from_value(&v).expect("decode own JSON");
         assert_eq!(back, snap);
         // The Prometheus rendering carries the headline series.
         let prom = snap.to_prometheus();

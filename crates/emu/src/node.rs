@@ -49,6 +49,13 @@ pub struct NodeStats {
     pub finished: AtomicU64,
 }
 
+impl NodeStats {
+    /// Nanoseconds of work completed, CPU and I/O portions together.
+    pub fn busy_ns(&self) -> u64 {
+        self.cpu_busy_ns.load(Ordering::Relaxed) + self.io_busy_ns.load(Ordering::Relaxed)
+    }
+}
+
 /// Per-node tunables, already time-scaled.
 #[derive(Debug, Clone)]
 pub struct NodeParams {

@@ -78,7 +78,7 @@ pub mod prelude {
         TelemetryProbe, TelemetrySnapshot, TraceEvent, TraceLog, WindowSample, WorkloadStats,
     };
     pub use msweb_emu::{
-        emulate, emulate_source, emulate_with, live_scheduler, live_stats, LiveConfig, LiveOutcome,
+        emulate, emulate_source, emulate_with, live_scheduler, live_stats, LiveConfig,
         LiveRunOptions, MetricsServer,
     };
     pub use msweb_ossim::{DemandSpec, Node, OsParams};

@@ -19,6 +19,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 const ALL_POLICIES: [PolicyKind; 8] = [
@@ -46,11 +47,10 @@ fn record(policy: PolicyKind, p: usize, m: usize, n: usize, lambda: f64) -> (Tra
     let cfg = ClusterConfig::simulation(p, policy)
         .with_masters(m)
         .with_seed(11);
-    let path = tmp(&format!("{}-p{p}.jsonl", policy.slug()));
-    let sink = JsonlSink::create(&path).expect("create log");
+    let buf = SharedSeriesBuffer::new();
+    let sink = JsonlSink::new(buf.clone());
     let summary = simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink))).summary;
-    let log = TraceLog::read(&path).expect("parse log");
-    let _ = std::fs::remove_file(&path);
+    let log = TraceLog::parse(&buf.contents()).expect("parse log");
     (log, summary)
 }
 
@@ -232,18 +232,14 @@ fn record_region_outage(region_policy: &str) -> TraceLog {
     let mut scheduler = SchedulerRegistry::builtin()
         .compose(&cfg, &spec, a0, r0)
         .expect("region pipeline composes");
-    let path = tmp(&format!("region-outage-{region_policy}.jsonl"));
-    let sink = JsonlSink::create(&path).expect("create log");
-    scheduler.set_observer(Some(Box::new(sink)));
+    let buf = SharedSeriesBuffer::new();
+    scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
         .with_priors(a0, r0)
         .with_spec_label(spec.render())
         .with_failures(failures);
     sim.run(&trace);
-    drop(sim);
-    let log = TraceLog::read(&path).expect("parse log");
-    let _ = std::fs::remove_file(&path);
-    log
+    TraceLog::parse(&buf.contents()).expect("parse log")
 }
 
 /// A region-outage log is a self-replay fixed point, and re-driving it

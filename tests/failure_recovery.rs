@@ -5,6 +5,7 @@
 //! are flagged, and `analyze` reconstructs the same drop counts the live
 //! `RunSummary` reported.
 
+use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 fn workload(seed: u64) -> Trace {
@@ -127,17 +128,12 @@ fn traced_failure_run(seed: u64, plan: FailurePlan) -> (TraceLog, RunSummary) {
     let trace = workload(seed);
     let mut cfg = ClusterConfig::simulation(8, PolicyKind::MasterSlave);
     cfg = cfg.with_masters(3);
-    let mut path = std::env::temp_dir();
-    path.push(format!("msweb-fail-{}-{seed}.jsonl", std::process::id()));
     let mut sim = ClusterSim::new(cfg, adl().arrival_ratio_a(), 1.0 / 40.0).with_failures(plan);
-    let sink = JsonlSink::create(&path).expect("create failure log");
-    sim.scheduler_mut().set_observer(Some(Box::new(sink)));
+    let buf = SharedSeriesBuffer::new();
+    sim.scheduler_mut()
+        .set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let s = sim.run(&trace);
-    // The sink buffers; dropping the sim drops the scheduler and the
-    // observer with it, flushing the tail of the log.
-    drop(sim);
-    let log = TraceLog::read(&path).expect("parse failure log");
-    let _ = std::fs::remove_file(&path);
+    let log = TraceLog::parse(&buf.contents()).expect("parse failure log");
     (log, s)
 }
 

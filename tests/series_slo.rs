@@ -30,12 +30,6 @@ const RULES: &str = r#"{
   ]
 }"#;
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("msweb-series-{}-{name}", std::process::id()));
-    p
-}
-
 fn fixture_path(name: &str) -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures/golden")
@@ -80,12 +74,10 @@ fn traced_log(p: usize) -> TraceLog {
     let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
         .with_masters(m)
         .with_seed(42);
-    let path = tmp(&format!("slo-p{p}.jsonl"));
-    let sink = JsonlSink::create(&path).expect("create log");
+    let buf = msweb::cluster::SharedSeriesBuffer::new();
+    let sink = JsonlSink::new(buf.clone());
     let _ = simulate(cfg, &trace, RunOptions::new().observer(Box::new(sink)));
-    let log = TraceLog::read(&path).expect("parse log");
-    let _ = std::fs::remove_file(&path);
-    log
+    TraceLog::parse(&buf.contents()).expect("parse log")
 }
 
 #[test]
@@ -123,13 +115,11 @@ fn slo_check_is_deterministic_over_a_live_log() {
         .scaled_to_rate(40.0);
     let mut cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
     cfg.time_scale = 0.05;
-    let path = tmp("live-slo.jsonl");
-    let sink = JsonlSink::create(&path).expect("create log");
+    let buf = msweb::cluster::SharedSeriesBuffer::new();
     let mut scheduler = live_scheduler(&cfg, &trace);
-    scheduler.set_observer(Some(Box::new(sink)));
+    scheduler.set_observer(Some(Box::new(JsonlSink::new(buf.clone()))));
     let _ = emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new());
-    let log = TraceLog::read(&path).expect("parse log");
-    let _ = std::fs::remove_file(&path);
+    let log = TraceLog::parse(&buf.contents()).expect("parse log");
     let rules = SloRules::from_json(RULES).expect("rules parse");
     // The live log's timestamps are wall-clock, so its *content* varies
     // run to run — but checking one fixed log is a pure function.

@@ -130,3 +130,60 @@ fn sharded_tick_summary_is_bit_identical() {
         );
     }
 }
+
+/// The live substrate estimates its workload statistics with the
+/// simulator's [`WorkloadStats`]. On every built-in trace (all carry
+/// both classes) that must reproduce, bit for bit, the estimate the
+/// live path used to make with its own class-mean pass: `a0` from the
+/// trace summary's arrival ratio, `r0` as the clamped class-mean ratio.
+#[test]
+fn live_stats_match_the_former_live_estimator_bit_for_bit() {
+    fn former_live_estimate(trace: &Trace) -> (f64, f64, f64, f64) {
+        let (mut ds, mut nd, mut ss, mut ns) = (0.0f64, 0u64, 0.0f64, 0u64);
+        for r in &trace.requests {
+            if r.class.is_dynamic() {
+                ds += r.demand.service.as_secs_f64();
+                nd += 1;
+            } else {
+                ss += r.demand.service.as_secs_f64();
+                ns += 1;
+            }
+        }
+        let stat_mean = if ns > 0 { ss / ns as f64 } else { 1.0 / 110.0 };
+        let dyn_mean = if nd > 0 { ds / nd as f64 } else { stat_mean };
+        let a = trace.summary().arrival_ratio_a;
+        let a0 = if a.is_finite() && a > 0.0 {
+            a.clamp(0.01, 10.0)
+        } else {
+            0.5
+        };
+        let r0 = (stat_mean / dyn_mean).clamp(1e-4, 1.0);
+        (a0, r0, stat_mean, dyn_mean)
+    }
+
+    for spec in all_traces() {
+        for demand in [
+            DemandModel::simulation(40.0),
+            DemandModel::sun_cluster(40.0),
+        ] {
+            let trace = spec.generate(2_000, &demand, 77).scaled_to_rate(300.0);
+            let (a0, r0, stat_mean, dyn_mean) = former_live_estimate(&trace);
+            let stats = live_stats(&trace);
+            assert_eq!(stats.a0.to_bits(), a0.to_bits(), "{}: a0", spec.name);
+            assert_eq!(stats.r0.to_bits(), r0.to_bits(), "{}: r0", spec.name);
+            assert_eq!(
+                stats.static_mean,
+                SimDuration::from_secs_f64(stat_mean),
+                "{}: static mean",
+                spec.name
+            );
+            assert_eq!(
+                stats.dynamic_mean,
+                SimDuration::from_secs_f64(dyn_mean),
+                "{}: dynamic mean",
+                spec.name
+            );
+            assert_eq!(msweb::emu::live_priors(&trace), (stats.a0, stats.r0));
+        }
+    }
+}

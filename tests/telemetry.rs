@@ -117,3 +117,50 @@ fn sim_and_live_snapshots_share_one_schema() {
         "sim and live snapshots must expose the same key paths"
     );
 }
+
+/// A registry-composed run is labelled with its stage spec everywhere
+/// telemetry names the policy: the live snapshot, the live series
+/// header and the simulator's snapshot under the same spec agree.
+#[test]
+fn live_and_sim_label_a_spec_run_identically() {
+    let spec = StageSpec::for_policy(PolicyKind::MasterSlave);
+    let label = spec.render();
+    let trace = ucb()
+        .generate(60, &DemandModel::sun_cluster(40.0), 11)
+        .scaled_to_rate(40.0);
+    let (a0, r0) = msweb::emu::live_priors(&trace);
+
+    let mut live_cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3).with_spec(&label);
+    live_cfg.time_scale = 0.05;
+    let scheduler = SchedulerRegistry::builtin()
+        .compose(&live_cfg.cluster_config(), &spec, a0, r0)
+        .expect("spec composes");
+    let buf = msweb::cluster::SharedSeriesBuffer::new();
+    let outcome = emulate_with(
+        &live_cfg,
+        &trace,
+        scheduler,
+        LiveRunOptions::new()
+            .telemetry(true)
+            .series(SeriesRecorder::to_writer(Box::new(buf.clone()))),
+    );
+    let live_snap = outcome.telemetry.expect("telemetry enabled");
+    let contents = buf.contents();
+    let header = serde::Value::parse(contents.lines().next().expect("series header")).unwrap();
+    let series_policy = header.get("policy").and_then(serde::Value::as_str);
+
+    let sim_cfg = live_cfg.cluster_config();
+    let scheduler = SchedulerRegistry::builtin()
+        .compose(&sim_cfg, &spec, a0, r0)
+        .expect("spec composes");
+    let mut sim = ClusterSim::with_scheduler(sim_cfg, scheduler)
+        .with_priors(a0, r0)
+        .with_spec_label(&label)
+        .with_telemetry();
+    sim.run(&trace);
+    let sim_snap = sim.telemetry_snapshot().expect("telemetry enabled");
+
+    assert_eq!(sim_snap.policy, label);
+    assert_eq!(series_policy, Some(label.as_str()), "live series header");
+    assert_eq!(live_snap.policy, label, "live snapshot");
+}

@@ -10,6 +10,7 @@ use std::process::Command;
 use std::time::Duration;
 
 use msweb::bench::{tab3_traced, ExpConfig};
+use msweb::cluster::SharedSeriesBuffer;
 use msweb::prelude::*;
 
 fn tmp(name: &str) -> PathBuf {
@@ -121,29 +122,29 @@ fn sim_and_live_emit_schema_identical_jsonl() {
     let trace = tab3_trace(n);
 
     // Simulator run, traced.
-    let sim_path = tmp("sim.jsonl");
+    let sim_buf = SharedSeriesBuffer::new();
     let sim_cfg = ClusterConfig::simulation(6, PolicyKind::MasterSlave)
         .with_masters(3)
         .with_mu_h(110.0)
         .with_seed(21);
-    let sink = JsonlSink::create(&sim_path).expect("create sim log");
+    let sink = JsonlSink::new(sim_buf.clone());
     let sim_summary = simulate(sim_cfg, &trace, RunOptions::new().observer(Box::new(sink))).summary;
     assert_eq!(sim_summary.completed, n as u64);
 
     // Live run, traced — same scheduler type, same observer type.
-    let live_path = tmp("live.jsonl");
+    let live_buf = SharedSeriesBuffer::new();
     let mut live_cfg = LiveConfig::sun_cluster(PolicyKind::MasterSlave, 3);
     live_cfg.time_scale = 0.05;
     live_cfg.monitor_period = Duration::from_millis(50);
     live_cfg.seed = 21;
     let mut scheduler = live_scheduler(&live_cfg, &trace);
-    let sink = JsonlSink::create(&live_path).expect("create live log");
+    let sink = JsonlSink::new(live_buf.clone());
     scheduler.set_observer(Some(Box::new(sink)));
     let live_summary = emulate_with(&live_cfg, &trace, scheduler, LiveRunOptions::new()).summary;
     assert_eq!(live_summary.completed, n as u64);
 
-    let sim_log = std::fs::read_to_string(&sim_path).expect("read sim log");
-    let live_log = std::fs::read_to_string(&live_path).expect("read live log");
+    let sim_log = sim_buf.contents();
+    let live_log = live_buf.contents();
 
     check_log(&sim_log, "sim", n);
     check_log(&live_log, "live", n);
@@ -155,9 +156,6 @@ fn sim_and_live_emit_schema_identical_jsonl() {
         key_sequence(decision_lines(&live_log)[0]),
         "sim and live decision schemas diverged"
     );
-
-    let _ = std::fs::remove_file(&sim_path);
-    let _ = std::fs::remove_file(&live_path);
 }
 
 /// The `experiments` binary's Table-3 path appends every replay — live
