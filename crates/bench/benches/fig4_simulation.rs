@@ -1,5 +1,5 @@
 //! FIG4: one representative bar group per trace (reduced request count —
-//! the full figure is regenerated by the `experiments` binary).
+//! the full figure is regenerated by `msweb experiments`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msweb_bench::{fig4_cell, ExpConfig};

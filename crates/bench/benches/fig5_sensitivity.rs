@@ -1,5 +1,5 @@
 //! FIG5: fixed-m vs adaptive-m sensitivity, one cell (the full 12-group
-//! figure is regenerated by the `experiments` binary).
+//! figure is regenerated by `msweb experiments`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msweb_bench::ExpConfig;

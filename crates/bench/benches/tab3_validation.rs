@@ -1,5 +1,5 @@
 //! TAB3: one live-vs-simulated validation pair (heavily reduced — the
-//! full table is regenerated by the `experiments` binary). The live side
+//! full table is regenerated by `msweb experiments`). The live side
 //! runs in real (scaled) time, so samples are few.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};

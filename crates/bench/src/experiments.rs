@@ -374,8 +374,8 @@ pub fn tab3(exp: &ExpConfig, time_scale: f64) -> Vec<Tab3Row> {
 /// *and* simulated — is appended to the file through the same
 /// [`JsonlSink`], demonstrating that both substrates drive one scheduler
 /// and emit schema-identical records. The file is appended to, not
-/// truncated; callers own lifecycle (the `experiments` binary truncates
-/// it once up front).
+/// truncated; callers own lifecycle ([`crate::ExperimentRunner`]
+/// truncates it once up front).
 pub fn tab3_traced(exp: &ExpConfig, time_scale: f64, decision_log: Option<&Path>) -> Vec<Tab3Row> {
     // The paper replays every trace at 20 and 40 req/s. On our substrate
     // the stable rate range depends strongly on the trace's CGI share

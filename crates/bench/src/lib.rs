@@ -3,8 +3,8 @@
 //! The experiment harness: one function per table/figure of the paper's
 //! evaluation, executed through a deterministic parallel [`Sweep`] and
 //! exposed behind the typed [`ExperimentRunner`] API shared by the
-//! `experiments` binary, the `msweb` CLI, the criterion benches and the
-//! integration tests. See DESIGN.md §4 for the experiment index and
+//! `msweb experiments` CLI, the criterion benches and the integration
+//! tests. See DESIGN.md §4 for the experiment index and
 //! EXPERIMENTS.md for recorded paper-vs-measured results.
 //!
 //! ```no_run

@@ -260,7 +260,7 @@ impl ExperimentRunner {
 
     /// Log every scheduling decision of the Table 3 replays (live *and*
     /// simulated) to a JSONL file — the `--trace-decisions PATH` flag of
-    /// the `experiments` binary. The file is truncated when Table 3
+    /// `msweb experiments`. The file is truncated when Table 3
     /// starts, then appended to by each replay. Other experiments ignore
     /// the setting (their sweeps run replays in parallel, where a shared
     /// append-mode log would interleave).

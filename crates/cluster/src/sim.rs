@@ -609,9 +609,6 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             // The crash loses whatever service the request had attained.
             self.core.scheduler_mut().note_service_lost(event.node, tag);
             if let Some(placement) = self.redrive(tag, fl.req, t, event.restart_dynamic) {
-                let entry = self.in_flight.get_mut(&tag).expect("checked above");
-                entry.on_master = placement.on_master;
-                entry.started = None;
                 self.push_transfer(t + detect + placement.latency, tag, placement.node);
             }
         }
@@ -650,6 +647,15 @@ impl<Sch: Schedule> ClusterSim<Sch> {
             scheduler.note_origin(req.origin);
             if let Ok(placement) = scheduler.replace_after_failure(true, know, &mut self.monitor) {
                 self.core.metrics_mut().note_restarted();
+                // The new placement decides the level the request is
+                // accounted at, whether it was lost on the node or in
+                // transit to it.
+                let entry = self
+                    .in_flight
+                    .get_mut(&tag)
+                    .expect("re-placed request in flight");
+                entry.on_master = placement.on_master;
+                entry.started = None;
                 return Some(placement);
             }
         }

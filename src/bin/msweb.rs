@@ -1,147 +1,167 @@
 //! `msweb` — command-line front end to the cluster scheduling toolkit.
 //!
-//! ```text
-//! msweb plan    --lambda 2000 --a 0.43 --inv-r 60 --p 32
-//! msweb replay  --trace ksu --lambda 1000 --inv-r 80 --p 32 [--policy M/S] [--requests 20000]
-//! msweb import  --log access.log [--lambda 800] [--p 16]
-//! msweb traces
-//! msweb analyze --log decisions.jsonl [--spec <spec>] [--json] [--fail-on-divergence]
-//! msweb slo-check --log decisions.jsonl --rules rules.json [--json]
-//! msweb live    [--rate 40] [--requests 300] [--scale 0.2] [--telemetry out.json] [--top]
-//!               [--serve-metrics 127.0.0.1:9100] [--telemetry-series out.jsonl]
-//! msweb experiments [--id fig4b] [--jobs 8] [--json out.json] [--quick] [--telemetry]
-//! msweb metrics-dump [--from snapshot.json]
-//! ```
+//! Every subcommand declares its flags in one table ([`COMMANDS`]); the
+//! parser rejects anything the table does not list, and `msweb help` /
+//! `msweb <subcommand> --help` render their usage from the same tables.
 //!
 //! Every subcommand is a thin veneer over the public library API — the
 //! same calls the examples and the experiment harness make.
 
+use std::fmt::Display;
+
 use msweb::prelude::*;
 use msweb::workload::clf;
 
+/// A subcommand's flag table: `(name, placeholder)` pairs. An empty
+/// placeholder marks a boolean, `[path]` an optional value and anything
+/// else a required value.
+type FlagTable = &'static [(&'static str, &'static str)];
+
+/// One subcommand (or one mode of `experiments`): its flags, the usage
+/// prose rendered under them, and its handler.
+struct Command {
+    name: &'static str,
+    /// The boolean flag selecting this `experiments` mode; empty for
+    /// every other entry.
+    mode: &'static str,
+    flags: FlagTable,
+    about: &'static str,
+    run: fn(&Flags),
+}
+
+/// The `--json [path]` flag (see [`JsonOut`]).
+const JSON: (&str, &str) = ("json", "[path]");
+
+/// Every subcommand and `experiments` mode, in usage order.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "plan", mode: "", run: cmd_plan,
+        flags: &[("lambda", "req/s"), ("a", "ratio"), ("inv-r", "1/r"), ("p", "nodes"),
+                 ("mu-h", "req/s")],
+        about: "size the master level with Theorem 1" },
+    Command { name: "replay", mode: "", run: cmd_replay,
+        flags: &[("trace", "ucb|ksu|adl|dec"), ("lambda", "req/s"), ("inv-r", "1/r"),
+                 ("p", "nodes"), ("policy", "name"), ("requests", "n"), ("seed", "s"),
+                 ("trace-decisions", "path"), ("telemetry", "path"), ("metrics-out", "path"),
+                 ("telemetry-series", "path"), ("slo-rules", "rules.json")],
+        about: "simulate a policy on a synthetic Table-1 trace (--trace is required; without \
+                --policy, compare Flat, M/S, M/S-nr, M/S-1 and Switch); --telemetry writes \
+                the deterministic snapshot JSON, --metrics-out the Prometheus text dump, \
+                --telemetry-series the per-monitor-window JSONL time series, and --slo-rules \
+                evaluates burn-rate rules during the run (alerts on stderr, and in the \
+                decision log when --trace-decisions is active); all four need a single \
+                --policy run" },
+    Command { name: "import", mode: "", run: cmd_import,
+        flags: &[("log", "file"), ("lambda", "req/s"), ("p", "nodes"), ("requests", "n")],
+        about: "replay your own Common Log Format access log (--log is required)" },
+    Command { name: "traces", mode: "", run: cmd_traces, flags: &[],
+        about: "print the built-in trace characteristics (Table 1)" },
+    Command { name: "live", mode: "", run: cmd_live,
+        flags: &[("rate", "req/s"), ("requests", "n"), ("scale", "x"),
+                 ("trace-decisions", "path"), ("telemetry", "path"), ("metrics-out", "path"),
+                 ("top", ""), ("telemetry-series", "path"), ("slo-rules", "rules.json"),
+                 ("serve-metrics", "addr")],
+        about: "run the thread-backed live cluster (6 nodes; Flat, then M/S); telemetry \
+                instruments the master/slave run, --top prints a live stderr table each \
+                monitor period, --serve-metrics answers Prometheus scrapes (GET /metrics) at \
+                <addr> (e.g. 127.0.0.1:9100; port 0 picks one) while the master/slave run \
+                executes" },
+    Command { name: "analyze", mode: "", run: cmd_analyze,
+        flags: &[("log", "decisions.jsonl"), ("spec", "stage-spec"), ("run", "n"), JSON,
+                 ("fail-on-divergence", "")],
+        about: "replay a decision log (--log is required): re-drive the recorded (or a \
+                counterfactual --spec) composition over the recorded stream and report \
+                per-stage divergence attribution and stretch/balance deltas" },
+    Command { name: "slo-check", mode: "", run: cmd_slo_check,
+        flags: &[("log", "decisions.jsonl"), ("rules", "rules.json"), JSON],
+        about: "re-derive the per-window signals (stretch, drop rate, clamping) from a \
+                decision log and evaluate the SLO burn-rate rules over them (--log and \
+                --rules are required); deterministic for a fixed log, exits 1 when any rule \
+                fired" },
+    Command { name: "experiments", mode: "", run: cmd_experiment_ids,
+        flags: &[("id", "id,id,..."), ("jobs", "n"), JSON, ("quick", ""), ("seed", "s"),
+                 ("trace-decisions", "path"), ("telemetry", "[path]"),
+                 ("telemetry-series", "path")],
+        about: "regenerate the paper's tables/figures through the parallel sweep runner \
+                (default: all experiments; ids: fig3a fig3b tab1 tab2 fig4a fig4b fig5 tab3 \
+                ablation; --jobs defaults to all cores, 1 with --quick); --telemetry embeds \
+                an instrumented companion replay's snapshot in each report (and writes it to \
+                [path] when given); --telemetry-series streams the companion replay's \
+                per-window JSONL time series to <path>" },
+    Command { name: "experiments", mode: "unknown-sizes", run: cmd_unknown_sizes,
+        flags: &[("quick", ""), ("jobs", "n"), ("seed", "s"), JSON, ("test", "")],
+        about: "sweep demand visibility (exact/noisy/hidden) x policy (RSRC vs the \
+                attained-service scorers gittins/serpt/las) and report end-to-end and model \
+                stretch per cell; --test runs the CI smoke grid twice and fails on \
+                byte-nondeterminism or unless an attained policy beats RSRC under noisy and \
+                hidden declarations" },
+    Command { name: "experiments", mode: "pareto", run: cmd_pareto,
+        flags: &[("grid", "filter"), ("quick", ""), ("jobs", "n"), ("seed", "s"),
+                 ("requests", "n"), JSON, ("test", "")],
+        about: "enumerate every registry-composable stage combination (pruned), score each \
+                on (model stretch, node-busy CV, drop rate) under common random numbers, and \
+                print the Pareto front with first-divergent-stage attribution vs the RSRC \
+                baseline; --grid keeps only specs whose slug contains <filter>; --test runs \
+                the bounded CI smoke grid twice and fails on an empty front, a missing \
+                hybrid, or byte-nondeterminism" },
+    Command { name: "experiments", mode: "regions", run: cmd_regions,
+        flags: &[("quick", ""), ("seed", "s"), ("requests", "n"), JSON, ("test", "")],
+        about: "drive the multi-region front tier through three scenarios (diurnal \
+                rotation, migrating flash crowd, region outage) x the two region selectors \
+                (region-nearest, region-greedy) and compare them on latency-weighted model \
+                stretch; --test runs the bounded grid twice and fails on nondeterminism, an \
+                incomplete grid, or greedy not winning flash-crowd" },
+    Command { name: "metrics-dump", mode: "", run: cmd_metrics_dump,
+        flags: &[("from", "snapshot.json"), ("trace", "name"), ("lambda", "req/s"),
+                 ("p", "nodes"), ("requests", "n"), ("seed", "s"), ("policy", "name")],
+        about: "print a Prometheus text exposition to stdout: from a saved --telemetry \
+                snapshot with --from, otherwise from a fresh short instrumented simulation" },
+    Command { name: "scale", mode: "", run: cmd_scale,
+        flags: &[("p", "list"), ("n", "list"), ("trace", "name"), ("seed", "s"),
+                 ("lambda-per-p", "req/s/node"), ("tick-workers", "w"), ("out", "path"),
+                 ("test", ""), ("skip-parity", "")],
+        about: "stream p x n scale cells (default 1k,4k,10k nodes x 1M,10M requests) through \
+                the indexed M/S composition, record wall-clock + peak RSS into --out \
+                (default BENCH_scale.json) and enforce the scale budget (peak RSS <= 1 GiB, \
+                streamed == materialized summaries); --test runs the CI smoke grid (p=1000, \
+                n=100k)" },
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
+    let Some(name) = args.first() else {
         usage_and_exit();
     };
-    let flags = Flags::parse(&args[1..]);
-    match cmd.as_str() {
-        "plan" => cmd_plan(&flags),
-        "replay" => cmd_replay(&flags),
-        "import" => cmd_import(&flags),
-        "traces" => cmd_traces(),
-        "live" => cmd_live(&flags),
-        "analyze" => cmd_analyze(&flags),
-        "slo-check" => cmd_slo_check(&flags),
-        "experiments" => cmd_experiments(&flags),
-        "metrics-dump" => cmd_metrics_dump(&flags),
-        "scale" => cmd_scale(&flags),
-        "help" | "--help" | "-h" => usage_and_exit(),
-        other => {
-            eprintln!("unknown subcommand: {other}\n");
-            usage_and_exit();
+    let rest = &args[1..];
+    let entries = || COMMANDS.iter().filter(|c| c.name == name.as_str());
+    if entries().next().is_none() {
+        if !matches!(name.as_str(), "help" | "--help" | "-h") {
+            eprintln!("unknown subcommand: {name}\n");
         }
+        usage_and_exit();
     }
+    if rest.iter().any(|a| a == "--help" || a == "-h") {
+        let usage: String = entries().map(Command::usage).collect();
+        die(2, format!("USAGE:\n{}", usage.trim_end()));
+    }
+    // `experiments` picks its mode by flag, else runs the plain-id entry.
+    let cmd = entries()
+        .find(|c| !c.mode.is_empty() && rest.iter().any(|a| a.strip_prefix("--") == Some(c.mode)))
+        .or_else(|| entries().find(|c| c.mode.is_empty()))
+        .expect("every subcommand has a default entry");
+    (cmd.run)(&Flags::parse(cmd, rest));
 }
 
 fn usage_and_exit() -> ! {
-    eprintln!(
-        "msweb — master/slave Web-cluster scheduling (SPAA'99 reproduction)
+    let usage: String = COMMANDS.iter().map(Command::usage).collect();
+    die(
+        2,
+        format!(
+            "msweb — master/slave Web-cluster scheduling (SPAA'99 reproduction)
 
 USAGE:
-  msweb plan    --lambda <req/s> --a <ratio> --inv-r <1/r> [--p <nodes>]
-                  size the master level with Theorem 1
-  msweb replay  --trace <ucb|ksu|adl|dec> --lambda <req/s> [--inv-r <1/r>]
-                  [--p <nodes>] [--policy <name>] [--requests <n>] [--seed <s>]
-                  [--trace-decisions <path>]
-                  [--telemetry <path>] [--metrics-out <path>]
-                  [--telemetry-series <path>] [--slo-rules <rules.json>]
-                  simulate a policy on a synthetic Table-1 trace;
-                  --telemetry writes the deterministic snapshot JSON,
-                  --metrics-out the Prometheus text dump,
-                  --telemetry-series the per-monitor-window JSONL time
-                  series, and --slo-rules evaluates burn-rate rules
-                  during the run (alerts on stderr, and in the decision
-                  log when --trace-decisions is active); all need a
-                  single --policy run
-  msweb import  --log <file> [--lambda <req/s>] [--p <nodes>] [--requests <n>]
-                  replay your own Common Log Format access log
-  msweb traces    print the built-in trace characteristics (Table 1)
-  msweb live    [--rate <req/s>] [--requests <n>] [--scale <x>]
-                  [--trace-decisions <path>]
-                  [--telemetry <path>] [--metrics-out <path>] [--top]
-                  [--telemetry-series <path>] [--slo-rules <rules.json>]
-                  [--serve-metrics <addr>]
-                  run the thread-backed live cluster (6 nodes); telemetry
-                  instruments the master/slave run, --top prints a live
-                  stderr table each monitor period, --serve-metrics
-                  answers Prometheus scrapes (GET /metrics) at <addr>
-                  (e.g. 127.0.0.1:9100; port 0 picks one) while the
-                  master/slave run executes
-  msweb analyze --log <decisions.jsonl> [--spec <stage-spec>] [--run <n>]
-                  [--json [path]] [--fail-on-divergence]
-                  replay a decision log: re-drive the recorded (or a
-                  counterfactual --spec) composition over the recorded
-                  stream and report per-stage divergence attribution and
-                  stretch/balance deltas
-  msweb slo-check --log <decisions.jsonl> --rules <rules.json> [--json]
-                  re-derive the per-window signals (stretch, drop rate,
-                  clamping) from a decision log and evaluate the SLO
-                  burn-rate rules over them; deterministic for a fixed
-                  log, exits 1 when any rule fired
-  msweb experiments [--id <experiment>] [--jobs <n>] [--json <path>]
-                  [--quick] [--seed <s>] [--trace-decisions <path>]
-                  [--telemetry [path]] [--telemetry-series <path>]
-                  regenerate the paper's tables/figures through the
-                  parallel sweep runner (default: all experiments on all
-                  cores; ids: fig3a fig3b tab1 tab2 fig4a fig4b fig5 tab3
-                  ablation); --telemetry embeds an instrumented companion
-                  replay's snapshot in each report (and writes it to
-                  [path] when given); --telemetry-series streams the
-                  companion replay's per-window JSONL time series to
-                  <path>
-  msweb experiments --unknown-sizes [--quick] [--jobs <n>] [--seed <s>]
-                  [--json <path>] [--test]
-                  sweep demand visibility (exact/noisy/hidden) x policy
-                  (RSRC vs the attained-service scorers gittins/serpt/
-                  las) and report end-to-end and model stretch per cell;
-                  --test runs the CI smoke grid and fails unless an
-                  attained policy beats RSRC under noisy and hidden
-                  declarations
-  msweb experiments --pareto [--grid <filter>] [--quick] [--jobs <n>]
-                  [--seed <s>] [--requests <n>] [--json <path>] [--test]
-                  enumerate every registry-composable stage combination
-                  (pruned), score each on (model stretch, node-busy CV,
-                  drop rate) under common random numbers, and print the
-                  Pareto front with first-divergent-stage attribution
-                  vs the RSRC baseline; --grid keeps only specs whose
-                  slug contains <filter>; --test runs the bounded CI
-                  smoke grid twice and fails on an empty front, a
-                  missing hybrid, or byte-nondeterminism
-  msweb experiments --regions [--quick] [--seed <s>] [--requests <n>]
-                  [--json <path>] [--test]
-                  drive the multi-region front tier through three
-                  scenarios (diurnal rotation, migrating flash crowd,
-                  region outage) x the two region selectors
-                  (region-nearest, region-greedy) and compare them on
-                  latency-weighted model stretch; --test runs the
-                  bounded grid twice and fails on nondeterminism, an
-                  incomplete grid, or greedy not winning flash-crowd
-  msweb metrics-dump [--from <snapshot.json>] [--trace <name>]
-                  [--lambda <req/s>] [--p <nodes>] [--requests <n>]
-                  [--seed <s>] [--policy <name>]
-                  print a Prometheus text exposition to stdout: from a
-                  saved --telemetry snapshot with --from, otherwise from
-                  a fresh short instrumented simulation
-  msweb scale   [--p <list>] [--n <list>] [--trace <name>] [--seed <s>]
-                  [--lambda-per-p <req/s/node>] [--tick-workers <w>]
-                  [--out BENCH_scale.json] [--test] [--skip-parity]
-                  stream p x n scale cells (default 1k,4k,10k nodes x
-                  1M,10M requests) through the indexed M/S composition,
-                  record wall-clock + peak RSS into BENCH_scale.json and
-                  enforce the scale budget (peak RSS <= 1 GiB, streamed
-                  == materialized summaries); --test runs the CI smoke
-                  grid (p=1000, n=100k)
+{usage}
+Run `msweb <subcommand> --help` for one subcommand's usage.
 
 --trace-decisions logs every scheduling decision (entry node, candidate
 set, per-candidate RSRC scores, reservation state, chosen node, transfer
@@ -149,32 +169,93 @@ latency) as one JSON object per line. The schema is identical whether
 the records come from the simulator (replay/experiments) or the live
 cluster (live/experiments tab3).
 
+--json [path] (analyze, slo-check, experiments) writes the JSON report to
+<path>; with no value, stdout carries only the JSON report.
+
 Policies: Flat, M/S, M/S-ns, M/S-nr, M/S-1, M/S', Redirect, Switch
 (slugs flat, ms, ms-ns, ms-nr, ms-1, ms-prime, redirect, switch)"
+        ),
     );
-    std::process::exit(2);
 }
 
-/// Minimal `--key value` flag parser.
-struct Flags(Vec<(String, String)>);
+/// Print `msg` on stderr and exit with `code`.
+fn die(code: i32, msg: impl Display) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(code);
+}
+
+impl Command {
+    fn title(&self) -> String {
+        match self.mode {
+            "" => format!("msweb {}", self.name),
+            mode => format!("msweb {} --{mode}", self.name),
+        }
+    }
+
+    /// This entry's usage: the flag list, then the prose, word-wrapped.
+    fn usage(&self) -> String {
+        let flags = self.flags.iter().map(|&(name, ph)| match ph {
+            "" => format!("[--{name}]"),
+            _ if ph.starts_with('[') => format!("[--{name} {ph}]"),
+            _ => format!("[--{name} <{ph}>]"),
+        });
+        wrap(&format!("  {}", self.title()), flags)
+            + &wrap(
+                PROSE_INDENT,
+                self.about.split_whitespace().map(String::from),
+            )
+    }
+}
+
+/// The indent of usage continuation lines and prose.
+const PROSE_INDENT: &str = "                 ";
+
+/// Greedy word wrap to 78 columns: `head`, then `words`, continuation
+/// lines indented by [`PROSE_INDENT`].
+fn wrap(head: &str, words: impl Iterator<Item = String>) -> String {
+    let (mut out, mut line) = (String::new(), head.to_string());
+    for word in words {
+        if line.chars().count() + 1 + word.chars().count() > 78 && !line.trim().is_empty() {
+            out += &line;
+            out.push('\n');
+            line = PROSE_INDENT.to_string();
+        }
+        line.push(' ');
+        line += &word;
+    }
+    out + &line + "\n"
+}
+
+/// Flag values parsed against one [`Command`]'s table.
+struct Flags(Vec<(&'static str, String)>);
 
 impl Flags {
-    fn parse(args: &[String]) -> Flags {
-        let mut out = Vec::new();
+    /// Parse `args` against `cmd`'s table. An unknown or repeated flag,
+    /// a boolean given a value, a missing value or a stray argument
+    /// exits 2 with a message naming it.
+    fn parse(cmd: &Command, args: &[String]) -> Flags {
+        let mode = (!cmd.mode.is_empty()).then_some((cmd.mode, ""));
+        let mut out: Vec<(&'static str, String)> = Vec::new();
         let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(key) = a.strip_prefix("--") {
-                // Boolean flags (e.g. --quick) take no value; only consume
-                // the next token when it isn't itself a flag.
-                let value = match it.peek() {
-                    Some(v) if !v.starts_with("--") => it.next().cloned().unwrap_or_default(),
-                    _ => String::new(),
-                };
-                out.push((key.to_string(), value));
-            } else {
-                eprintln!("unexpected argument: {a}");
-                std::process::exit(2);
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                die(2, format!("unexpected argument: {arg}"));
+            };
+            let Some((name, ph)) = cmd.flags.iter().copied().chain(mode).find(|f| f.0 == key)
+            else {
+                die(2, format!("unknown flag --{key} for {}", cmd.title()));
+            };
+            if out.iter().any(|(n, _)| *n == name) {
+                die(2, format!("--{name} given more than once"));
             }
+            let value = it.next_if(|v| !v.starts_with("--"));
+            let value = match (ph, value) {
+                ("", Some(v)) => die(2, format!("--{name} takes no value, got '{v}'")),
+                (_, Some(v)) => v.clone(),
+                (ph, None) if ph.is_empty() || ph.starts_with('[') => String::new(),
+                (ph, None) => die(2, format!("--{name} expects a value <{ph}>")),
+            };
+            out.push((name, value));
         }
         Flags(out)
     }
@@ -182,8 +263,12 @@ impl Flags {
     fn get(&self, key: &str) -> Option<&str> {
         self.0
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == key)
             .map(|(_, v)| v.as_str())
+    }
+
+    fn has(&self, key: &str) -> bool {
+        self.get(key).is_some()
     }
 
     /// A finite numeric flag. Malformed or non-finite values (`abc`,
@@ -193,10 +278,7 @@ impl Flags {
         match self.get(key) {
             Some(v) => match v.parse::<f64>() {
                 Ok(x) if x.is_finite() => x,
-                _ => {
-                    eprintln!("--{key} expects a finite number, got '{v}'");
-                    std::process::exit(2);
-                }
+                _ => die(2, format!("--{key} expects a finite number, got '{v}'")),
             },
             None => default,
         }
@@ -205,84 +287,109 @@ impl Flags {
     /// A non-negative integer flag, parsed directly (no silent
     /// truncation of fractional values, no negative-to-zero cast).
     fn usize(&self, key: &str, default: usize) -> usize {
-        match self.get(key) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} expects a non-negative integer, got '{v}'");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
+        self.int(key, default)
     }
 
     /// A `u64` flag (seeds), parsed directly like [`Flags::usize`].
     fn u64(&self, key: &str, default: u64) -> u64 {
+        self.int(key, default)
+    }
+
+    fn int<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
         match self.get(key) {
             Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} expects a non-negative integer, got '{v}'");
-                std::process::exit(2);
+                die(
+                    2,
+                    format!("--{key} expects a non-negative integer, got '{v}'"),
+                )
             }),
             None => default,
         }
     }
 
     fn required(&self, key: &str) -> &str {
-        self.get(key).unwrap_or_else(|| {
-            eprintln!("missing required flag --{key}");
-            std::process::exit(2);
-        })
+        self.get(key)
+            .unwrap_or_else(|| die(2, format!("missing required flag --{key}")))
+    }
+}
+
+/// The `--json [path]` contract shared by every subcommand that has it:
+/// with a path, the JSON report goes to that file and stdout stays
+/// human; with no value, stdout carries only the JSON report (the human
+/// report is skipped and status lines move to stderr).
+struct JsonOut<'a>(Option<&'a str>);
+
+impl<'a> JsonOut<'a> {
+    fn new(flags: &'a Flags) -> JsonOut<'a> {
+        JsonOut(flags.get("json"))
+    }
+
+    /// Whether the human report should be printed.
+    fn human(&self) -> bool {
+        self.0 != Some("")
+    }
+
+    /// Print a status line (on stderr when stdout is the JSON report).
+    fn say(&self, line: impl Display) {
+        if self.human() {
+            println!("{line}");
+        } else {
+            eprintln!("{line}");
+        }
+    }
+
+    /// Emit the JSON report `json`, described as `what` in the status
+    /// line of a file write.
+    fn write(&self, what: &str, json: &str) {
+        match self.0 {
+            None => {}
+            Some("") => print!("{json}"),
+            Some(path) => {
+                if let Err(e) = std::fs::write(path, json) {
+                    die(1, format!("failed to write {path}: {e}"));
+                }
+                println!("wrote {what} to {path}");
+            }
+        }
     }
 }
 
 fn policy_by_name(name: &str) -> PolicyKind {
-    name.parse().unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+    name.parse().unwrap_or_else(|e| die(2, e))
 }
 
-/// Open a decision log, truncating it; exits on I/O failure (an
+/// Open a decision log, truncating it or, for the later runs of a
+/// multi-run command, appending to it; exits on I/O failure (an
 /// explicitly requested trace that cannot be written is an error, not a
 /// warning).
-fn decision_sink(path: &str) -> Box<dyn DecisionObserver> {
-    match JsonlSink::create(path) {
+fn decision_sink(path: &str, append: bool) -> Box<dyn DecisionObserver> {
+    let sink = if append {
+        JsonlSink::append(path)
+    } else {
+        JsonlSink::create(path)
+    };
+    match sink {
         Ok(sink) => Box::new(sink),
-        Err(e) => {
-            eprintln!("cannot create --trace-decisions file {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Open a decision log for appending (later runs of a multi-run
-/// command share the file).
-fn decision_sink_append(path: &str) -> Box<dyn DecisionObserver> {
-    match JsonlSink::append(path) {
-        Ok(sink) => Box::new(sink),
-        Err(e) => {
-            eprintln!("cannot open --trace-decisions file {path}: {e}");
-            std::process::exit(1);
-        }
+        Err(e) => die(1, format!("cannot open --trace-decisions file {path}: {e}")),
     }
 }
 
 /// Load and validate an SLO rules document; exits on I/O or grammar
 /// errors (a requested rule set that cannot be evaluated is an error).
 fn load_slo_rules(path: &str) -> SloRules {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read --slo-rules file {path}: {e}");
-        std::process::exit(1);
-    });
-    SloRules::from_json(&text).unwrap_or_else(|e| {
-        eprintln!("bad --slo-rules file {path}: {e}");
-        std::process::exit(2);
-    })
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(1, format!("cannot read --slo-rules file {path}: {e}")));
+    SloRules::from_json(&text)
+        .unwrap_or_else(|e| die(2, format!("bad --slo-rules file {path}: {e}")))
 }
 
 /// Open a `--telemetry-series` JSONL sink; exits on I/O failure.
 fn series_sink(path: &str) -> SeriesRecorder {
     SeriesRecorder::create(path).unwrap_or_else(|e| {
-        eprintln!("cannot create --telemetry-series file {path}: {e}");
-        std::process::exit(1);
+        die(
+            1,
+            format!("cannot create --telemetry-series file {path}: {e}"),
+        )
     })
 }
 
@@ -291,15 +398,13 @@ fn series_sink(path: &str) -> SeriesRecorder {
 fn write_telemetry(snap: &TelemetrySnapshot, json_path: Option<&str>, prom_path: Option<&str>) {
     if let Some(path) = json_path {
         if let Err(e) = std::fs::write(path, snap.to_json()) {
-            eprintln!("failed to write --telemetry file {path}: {e}");
-            std::process::exit(1);
+            die(1, format!("failed to write --telemetry file {path}: {e}"));
         }
         println!("telemetry snapshot written to {path}");
     }
     if let Some(path) = prom_path {
         if let Err(e) = std::fs::write(path, snap.to_prometheus()) {
-            eprintln!("failed to write --metrics-out file {path}: {e}");
-            std::process::exit(1);
+            die(1, format!("failed to write --metrics-out file {path}: {e}"));
         }
         println!("prometheus dump written to {path}");
     }
@@ -311,10 +416,10 @@ fn trace_by_name(name: &str) -> TraceSpec {
         "ksu" => ksu(),
         "adl" => adl(),
         "dec" => dec(),
-        other => {
-            eprintln!("unknown trace: {other} (expected ucb|ksu|adl|dec)");
-            std::process::exit(2);
-        }
+        other => die(
+            2,
+            format!("unknown trace: {other} (expected ucb|ksu|adl|dec)"),
+        ),
     }
 }
 
@@ -348,13 +453,8 @@ fn cmd_plan(flags: &Flags) {
     let p = flags.usize("p", 32);
     let mu_h = flags.num("mu-h", 1200.0);
 
-    let w = match Workload::from_ratios(lambda, a, mu_h, 1.0 / inv_r) {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("invalid workload: {e}");
-            std::process::exit(1);
-        }
-    };
+    let w = Workload::from_ratios(lambda, a, mu_h, 1.0 / inv_r)
+        .unwrap_or_else(|e| die(1, format!("invalid workload: {e}")));
     println!(
         "workload: λ={lambda}/s, a={a}, 1/r={inv_r}, μ_h={mu_h}/s, p={p}\n\
          offered load {:.2} Erlangs ({:.1}% of the cluster)",
@@ -394,70 +494,96 @@ fn cmd_plan(flags: &Flags) {
     }
 }
 
-fn cmd_experiments(flags: &Flags) {
-    if flags.get("regions").is_some() {
-        cmd_regions(flags);
-        return;
-    }
-    if flags.get("pareto").is_some() {
-        cmd_pareto(flags);
-        return;
-    }
-    if flags.get("unknown-sizes").is_some() {
-        cmd_unknown_sizes(flags);
-        return;
-    }
-    let quick = flags.get("quick").is_some();
-    let jobs = flags.usize("jobs", 0);
-    let mut exp = if quick {
+/// The sizing step every `experiments` mode shares: `--quick` (implied
+/// by `--test`) picks the smoke configuration; `--seed`, `--jobs` and
+/// `--requests` override it where the mode's table declares them.
+fn exp_config(flags: &Flags) -> ExpConfig {
+    let mut exp = if flags.has("quick") || flags.has("test") {
         ExpConfig::quick()
     } else {
         ExpConfig::default()
     };
     exp.seed = flags.u64("seed", exp.seed);
+    exp.jobs = flags.usize("jobs", exp.jobs);
+    exp.requests = flags.usize("requests", exp.requests);
+    exp
+}
+
+/// The tail every gated `experiments` mode shares: write the `--json`
+/// report; under `--test`, re-run and require byte-identical JSON; then
+/// the gate verdict, which exits 1 under `--test` and is only reported
+/// otherwise.
+fn gate(
+    flags: &Flags,
+    name: &str,
+    what: &str,
+    json: String,
+    rerun: impl FnOnce() -> String,
+    verdict: Result<(), String>,
+    ok: String,
+) {
+    let out = JsonOut::new(flags);
+    let test = flags.has("test");
+    out.write(what, &json);
+    if test {
+        if rerun() != json {
+            die(
+                1,
+                format!("{name} gate failed: two identical runs produced different JSON"),
+            );
+        }
+        out.say("determinism: two runs byte-identical");
+    }
+    match verdict {
+        Ok(()) => out.say(format!("OK: {ok}")),
+        Err(msg) if test => die(1, format!("{name} gate failed: {msg}")),
+        Err(msg) => eprintln!("{name} gate failed: {msg}"),
+    }
+}
+
+/// `msweb experiments [--id a,b]`: the paper's tables and figures.
+fn cmd_experiment_ids(flags: &Flags) {
+    let out = JsonOut::new(flags);
     let telemetry = flags.get("telemetry");
-    let runner = ExperimentRunner::new(exp)
-        .parallelism(jobs)
-        .live_time_scale(if quick { 0.3 } else { 1.0 })
+    let runner = ExperimentRunner::new(exp_config(flags))
+        .live_time_scale(if flags.has("quick") { 0.3 } else { 1.0 })
         .trace_decisions(flags.get("trace-decisions").map(std::path::PathBuf::from))
         .telemetry(telemetry.is_some());
 
     let ids: Vec<ExperimentId> = match flags.get("id") {
-        Some(name) => match ExperimentId::parse(name) {
-            Some(id) => vec![id],
-            None => {
-                eprintln!("unknown experiment id: {name}");
-                std::process::exit(2);
-            }
-        },
+        Some(list) => list
+            .split(',')
+            .map(|name| {
+                ExperimentId::parse(name)
+                    .unwrap_or_else(|| die(2, format!("unknown experiment id: {name}")))
+            })
+            .collect(),
         None => ExperimentId::ALL.to_vec(),
     };
-
-    let mut reports = Vec::with_capacity(ids.len());
-    for id in ids {
-        let report = runner.run(id);
-        println!("{}", report.render());
-        reports.push(report);
-    }
-    if let Some(path) = flags.get("json") {
-        let body: Vec<String> = reports.iter().map(ExperimentReport::to_json).collect();
-        let json = format!("[\n{}\n]\n", body.join(",\n"));
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("wrote {} report(s) to {path}", reports.len());
-    }
+    let reports: Vec<ExperimentReport> = ids
+        .into_iter()
+        .map(|id| {
+            let report = runner.run(id);
+            if out.human() {
+                println!("{}", report.render());
+            }
+            report
+        })
+        .collect();
+    let body: Vec<String> = reports.iter().map(ExperimentReport::to_json).collect();
+    out.write(
+        &format!("{} report(s)", reports.len()),
+        &format!("[\n{}\n]\n", body.join(",\n")),
+    );
     // `--telemetry <path>` also writes the companion snapshot on its
     // own; every report of one invocation embeds the same one (the
     // runner's canonical replay depends only on the ExpConfig).
     if let Some(path) = telemetry.filter(|p| !p.is_empty()) {
         if let Some(snap) = reports.iter().find_map(|r| r.telemetry.as_ref()) {
             if let Err(e) = std::fs::write(path, snap.to_json()) {
-                eprintln!("failed to write --telemetry file {path}: {e}");
-                std::process::exit(1);
+                die(1, format!("failed to write --telemetry file {path}: {e}"));
             }
-            println!("telemetry snapshot written to {path}");
+            out.say(format!("telemetry snapshot written to {path}"));
         }
     }
     // `--telemetry-series <path>` streams the same canonical companion
@@ -465,95 +591,67 @@ fn cmd_experiments(flags: &Flags) {
     // seed and sizing).
     if let Some(path) = flags.get("telemetry-series") {
         match runner.write_telemetry_series(path) {
-            Ok(records) => println!("telemetry series ({records} windows) written to {path}"),
-            Err(e) => {
-                eprintln!("failed to write --telemetry-series file {path}: {e}");
-                std::process::exit(1);
-            }
+            Ok(records) => out.say(format!(
+                "telemetry series ({records} windows) written to {path}"
+            )),
+            Err(e) => die(
+                1,
+                format!("failed to write --telemetry-series file {path}: {e}"),
+            ),
         }
     }
 }
 
-/// `msweb metrics-dump`: a Prometheus text exposition on stdout — from
-/// a saved `--telemetry` snapshot (`--from`), or from a fresh short
-/// instrumented simulation (KSU master/slave cell by default).
 /// `msweb experiments --unknown-sizes`: the demand-visibility sweep —
 /// what happens to placement quality when per-request demand
 /// declarations decay from exact to noisy to absent.
 fn cmd_unknown_sizes(flags: &Flags) {
-    let test = flags.get("test").is_some();
-    let quick = test || flags.get("quick").is_some();
-    let mut exp = if quick {
-        msweb::bench::ExpConfig::quick()
-    } else {
-        msweb::bench::ExpConfig::default()
-    };
-    exp.seed = flags.u64("seed", exp.seed);
-    exp.jobs = flags.usize("jobs", exp.jobs);
-
-    let rows = msweb::bench::unknown_sizes(&exp);
-    println!(
-        "unknown-sizes sweep: UCB x {} requests, p=32, visibility x policy\n",
-        exp.requests
-    );
-    println!(
-        "{:<10} {:<9} {:>9} {:>14}",
-        "visibility", "policy", "stretch", "model stretch"
-    );
-    let mut last_vis = "";
-    for r in &rows {
-        if r.visibility != last_vis && !last_vis.is_empty() {
-            println!();
-        }
-        last_vis = &r.visibility;
+    use msweb::bench::{unknown_sizes, unknown_sizes_check};
+    let exp = exp_config(flags);
+    let rows = unknown_sizes(&exp);
+    if JsonOut::new(flags).human() {
         println!(
-            "{:<10} {:<9} {:>9.3} {:>14.4}",
-            r.visibility, r.policy, r.stretch, r.model_stretch
+            "unknown-sizes sweep: UCB x {} requests, p=32, visibility x policy\n",
+            exp.requests
         );
-    }
-
-    if let Some(path) = flags.get("json") {
-        let json = serde::to_json_string_pretty(&rows) + "\n";
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("\nwrote {} rows to {path}", rows.len());
-    }
-
-    match msweb::bench::unknown_sizes_check(&rows) {
-        Ok(()) => println!(
-            "\nOK: an attained-service policy beats RSRC under noisy and hidden declarations"
-        ),
-        Err(msg) => {
-            eprintln!("\nunknown-sizes gate failed: {msg}");
-            if test {
-                std::process::exit(1);
+        println!(
+            "{:<10} {:<9} {:>9} {:>14}",
+            "visibility", "policy", "stretch", "model stretch"
+        );
+        let mut last_vis = "";
+        for r in &rows {
+            if r.visibility != last_vis && !last_vis.is_empty() {
+                println!();
             }
+            last_vis = &r.visibility;
+            println!(
+                "{:<10} {:<9} {:>9.3} {:>14.4}",
+                r.visibility, r.policy, r.stretch, r.model_stretch
+            );
         }
+        println!();
     }
+    let json = |rows: &[_]| serde::to_json_string_pretty(rows) + "\n";
+    gate(
+        flags,
+        "unknown-sizes",
+        &format!("{} rows", rows.len()),
+        json(&rows),
+        || json(&unknown_sizes(&exp)),
+        unknown_sizes_check(&rows),
+        "an attained-service policy beats RSRC under noisy and hidden declarations".into(),
+    );
 }
 
 /// `msweb experiments --pareto`: the stage-space Pareto sweep — every
 /// registry-composable pipeline scored on (model stretch, node-busy CV,
 /// drop rate), the 3-D front extracted deterministically, and each
 /// frontier point attributed to its first divergent stage vs the RSRC
-/// baseline. `--test` runs the bounded smoke grid twice and fails on an
-/// empty front, a missing hybrid, or byte-nondeterminism.
+/// baseline.
 fn cmd_pareto(flags: &Flags) {
     use msweb::bench::{pareto, pareto_check, StageGrid};
-    let test = flags.get("test").is_some();
-    let quick = test || flags.get("quick").is_some();
-    let mut exp = if quick {
-        msweb::bench::ExpConfig::quick()
-    } else {
-        msweb::bench::ExpConfig::default()
-    };
-    exp.seed = flags.u64("seed", exp.seed);
-    exp.jobs = flags.usize("jobs", exp.jobs);
-    exp.requests = flags.usize("requests", exp.requests);
-
-    let mut grid = if test {
+    let exp = exp_config(flags);
+    let mut grid = if flags.has("test") {
         StageGrid::smoke()
     } else {
         StageGrid::full(&SchedulerRegistry::builtin())
@@ -561,120 +659,56 @@ fn cmd_pareto(flags: &Flags) {
     if let Some(filter) = flags.get("grid") {
         grid = grid.with_filter(filter);
     }
-
     let report = pareto(&exp, &grid);
-    print!("{}", report.render());
-
-    match flags.get("json") {
-        // `--json` with no value streams to stdout; with a value it
-        // writes the file and keeps the human table on stdout.
-        Some("") => print!("{}", report.to_json()),
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote the frontier report to {path}");
-        }
-        None => {}
+    if JsonOut::new(flags).human() {
+        print!("{}", report.render());
     }
-
-    if test {
-        // Byte-determinism gate: the identical configuration must
-        // serialise identically on a second full run.
-        let again = pareto(&exp, &grid);
-        if report.to_json() != again.to_json() {
-            eprintln!("pareto gate failed: two identical runs produced different JSON");
-            std::process::exit(1);
-        }
-        println!("determinism: two runs byte-identical");
-    }
-
-    match pareto_check(&report) {
-        Ok(()) => println!(
-            "OK: non-empty front with >=1 hybrid, every point attributed vs {}",
+    gate(
+        flags,
+        "pareto",
+        "the frontier report",
+        report.to_json(),
+        || pareto(&exp, &grid).to_json(),
+        pareto_check(&report),
+        format!(
+            "non-empty front with >=1 hybrid, every point attributed vs {}",
             report.baseline
         ),
-        Err(msg) => {
-            eprintln!("pareto gate failed: {msg}");
-            if test {
-                std::process::exit(1);
-            }
-        }
-    }
+    );
 }
 
 /// `msweb experiments --regions`: the multi-region scenario grid —
 /// three scenarios (diurnal rotation, migrating flash crowd, region
 /// outage) x the two region selectors, scored on latency-weighted
-/// model stretch. `--test` runs the bounded grid twice and fails on
-/// byte-nondeterminism, an incomplete grid, or the greedy selector not
-/// beating `region-nearest` in the flash-crowd scenario.
+/// model stretch.
 fn cmd_regions(flags: &Flags) {
-    use msweb::bench::{regions, regions_check};
-    let test = flags.get("test").is_some();
-    let quick = test || flags.get("quick").is_some();
-    let mut exp = if quick {
-        msweb::bench::ExpConfig::quick()
-    } else {
-        msweb::bench::ExpConfig::default()
-    };
-    exp.seed = flags.u64("seed", exp.seed);
-    exp.requests = flags.usize("requests", exp.requests);
-
+    use msweb::bench::{regions, regions_check, REGION_POLICIES, SCENARIOS};
+    let exp = exp_config(flags);
     let report = regions(&exp);
-    print!("{}", report.render());
-
-    match flags.get("json") {
-        // `--json` with no value streams to stdout; with a value it
-        // writes the file and keeps the human table on stdout.
-        Some("") => print!("{}", report.to_json()),
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, report.to_json()) {
-                eprintln!("failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-            println!("wrote the scenario report to {path}");
-        }
-        None => {}
+    if JsonOut::new(flags).human() {
+        print!("{}", report.render());
     }
-
-    if test {
-        // Byte-determinism gate: the identical configuration must
-        // serialise identically on a second full run.
-        let again = regions(&exp);
-        if report.to_json() != again.to_json() {
-            eprintln!("regions gate failed: two identical runs produced different JSON");
-            std::process::exit(1);
-        }
-        println!("determinism: two runs byte-identical");
-    }
-
-    match regions_check(&report) {
-        Ok(()) => println!(
-            "OK: full {}x{} grid, region-greedy wins flash-crowd on latency-weighted stretch",
-            msweb::bench::SCENARIOS.len(),
-            msweb::bench::REGION_POLICIES.len()
+    gate(
+        flags,
+        "regions",
+        "the scenario report",
+        report.to_json(),
+        || regions(&exp).to_json(),
+        regions_check(&report),
+        format!(
+            "full {}x{} grid, region-greedy wins flash-crowd on latency-weighted stretch",
+            SCENARIOS.len(),
+            REGION_POLICIES.len()
         ),
-        Err(msg) => {
-            eprintln!("regions gate failed: {msg}");
-            if test {
-                std::process::exit(1);
-            }
-        }
-    }
+    );
 }
 
 fn cmd_metrics_dump(flags: &Flags) {
     if let Some(path) = flags.get("from") {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("cannot read snapshot {path}: {e}");
-            std::process::exit(1);
-        });
-        let snap = TelemetrySnapshot::from_json(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse snapshot {path}: {e}");
-            std::process::exit(1);
-        });
+        let text = std::fs::read_to_string(path)
+            .unwrap_or_else(|e| die(1, format!("cannot read snapshot {path}: {e}")));
+        let snap = TelemetrySnapshot::from_json(&text)
+            .unwrap_or_else(|e| die(1, format!("cannot parse snapshot {path}: {e}")));
         print!("{}", snap.to_prometheus());
         return;
     }
@@ -712,6 +746,11 @@ fn cmd_replay(flags: &Flags) {
         "replaying {} × {n} requests at {lambda}/s on p={p} (m={m}, 1/r={inv_r})\n",
         spec.name
     );
+    let config = |policy| {
+        ClusterConfig::simulation(p, policy)
+            .with_masters(m)
+            .with_seed(seed)
+    };
 
     let log = flags.get("trace-decisions");
     let tele_json = flags.get("telemetry");
@@ -721,43 +760,24 @@ fn cmd_replay(flags: &Flags) {
     match flags.get("policy") {
         Some(name) => {
             let policy = policy_by_name(name);
-            let cfg = ClusterConfig::simulation(p, policy)
-                .with_masters(m)
-                .with_seed(seed);
-            if tele_json.is_some() || metrics_out.is_some() {
-                let mut sim = policy_sim(cfg, &trace).with_telemetry();
-                if let Some(path) = series_path {
-                    sim = sim.with_series(series_sink(path));
-                }
-                if let Some(rules) = slo_rules {
-                    sim = sim.with_slo(SloEngine::new(rules));
-                }
-                if let Some(path) = log {
-                    sim.scheduler_mut().set_observer(Some(decision_sink(path)));
-                }
-                let s = sim.run(&trace);
-                print_summary(policy.label(), &s);
-                if let Some(engine) = sim.slo_engine() {
-                    println!("slo alerts fired: {}", engine.alerts_fired());
-                }
-                let snap = sim.telemetry_snapshot().expect("telemetry enabled");
-                write_telemetry(&snap, tele_json, metrics_out);
-            } else {
-                let mut opts = RunOptions::new();
-                if let Some(path) = log {
-                    opts = opts.observer(decision_sink(path));
-                }
-                if let Some(path) = series_path {
-                    opts = opts.series(series_sink(path));
-                }
-                if let Some(rules) = slo_rules {
-                    opts = opts.slo(SloEngine::new(rules));
-                }
-                let outcome = simulate(cfg, &trace, opts);
-                print_summary(policy.label(), &outcome.summary);
-                if let Some(engine) = &outcome.slo {
-                    println!("slo alerts fired: {}", engine.alerts_fired());
-                }
+            let mut opts =
+                RunOptions::new().telemetry(tele_json.is_some() || metrics_out.is_some());
+            if let Some(path) = log {
+                opts = opts.observer(decision_sink(path, false));
+            }
+            if let Some(path) = series_path {
+                opts = opts.series(series_sink(path));
+            }
+            if let Some(rules) = slo_rules {
+                opts = opts.slo(SloEngine::new(rules));
+            }
+            let outcome = simulate(config(policy), &trace, opts);
+            print_summary(policy.label(), &outcome.summary);
+            if let Some(engine) = &outcome.slo {
+                println!("slo alerts fired: {}", engine.alerts_fired());
+            }
+            if let Some(snap) = &outcome.telemetry {
+                write_telemetry(snap, tele_json, metrics_out);
             }
             if let Some(path) = series_path {
                 println!("telemetry series written to {path}");
@@ -769,35 +789,29 @@ fn cmd_replay(flags: &Flags) {
                 || series_path.is_some()
                 || slo_rules.is_some()
             {
-                eprintln!(
+                die(
+                    2,
                     "--telemetry/--metrics-out/--telemetry-series/--slo-rules need a \
-                     single --policy replay"
+                     single --policy replay",
                 );
-                std::process::exit(2);
             }
             // Truncate the shared log once, then let every policy's
             // replay append to it.
-            let mut first = true;
-            for policy in [
+            for (i, policy) in [
                 PolicyKind::Flat,
                 PolicyKind::MasterSlave,
                 PolicyKind::MsNoReservation,
                 PolicyKind::MsAllMasters,
                 PolicyKind::Switch,
-            ] {
-                let cfg = ClusterConfig::simulation(p, policy)
-                    .with_masters(m)
-                    .with_seed(seed);
+            ]
+            .into_iter()
+            .enumerate()
+            {
                 let mut opts = RunOptions::new();
                 if let Some(path) = log {
-                    opts = opts.observer(if first {
-                        decision_sink(path)
-                    } else {
-                        decision_sink_append(path)
-                    });
+                    opts = opts.observer(decision_sink(path, i > 0));
                 }
-                first = false;
-                let s = simulate(cfg, &trace, opts).summary;
+                let s = simulate(config(policy), &trace, opts).summary;
                 println!("{:<9} stretch {:>8.3}", policy.label(), s.stretch);
             }
         }
@@ -830,15 +844,14 @@ fn registered_stages() -> String {
     )
 }
 
+/// Read a decision log; exits 1 when it cannot be read.
+fn read_log(path: &str) -> TraceLog {
+    TraceLog::read(path).unwrap_or_else(|e| die(1, format!("cannot read decision log {path}: {e}")))
+}
+
 fn cmd_analyze(flags: &Flags) {
     let path = flags.required("log");
-    let log = match TraceLog::read(path) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot read decision log {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let log = read_log(path);
     let mut opts = ReplayOptions {
         run: flags.usize("run", 0),
         ..ReplayOptions::default()
@@ -846,42 +859,29 @@ fn cmd_analyze(flags: &Flags) {
     if let Some(spec) = flags.get("spec") {
         match StageSpec::parse(spec) {
             Ok(s) => opts.spec = Some(s),
-            Err(e) => {
-                eprintln!("bad --spec: {e}");
-                eprint!("{}", registered_stages());
-                std::process::exit(2);
-            }
+            Err(e) => die(
+                2,
+                format!("bad --spec: {e}\n{}", registered_stages().trim_end()),
+            ),
         }
     }
-    let report = match analyze(&log, &opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot analyze {path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report =
+        analyze(&log, &opts).unwrap_or_else(|e| die(1, format!("cannot analyze {path}: {e}")));
 
-    match flags.get("json") {
-        // `--json` with no value streams to stdout; with a value it
-        // writes the file and keeps the human summary on stdout.
-        Some("") => print!("{}", report.to_json()),
-        Some(out) => {
-            if let Err(e) = std::fs::write(out, report.to_json()) {
-                eprintln!("failed to write {out}: {e}");
-                std::process::exit(1);
-            }
-            print_analysis(&report);
-            println!("\nreport written to {out}");
-        }
-        None => print_analysis(&report),
+    let out = JsonOut::new(flags);
+    if out.human() {
+        print_analysis(&report);
     }
+    out.write("the analysis report", &report.to_json());
 
-    if flags.get("fail-on-divergence").is_some() && report.divergent > 0 {
-        eprintln!(
-            "FAIL: {} of {} placements diverged under {}",
-            report.divergent, report.decisions, report.replay_spec
+    if flags.has("fail-on-divergence") && report.divergent > 0 {
+        die(
+            1,
+            format!(
+                "FAIL: {} of {} placements diverged under {}",
+                report.divergent, report.decisions, report.replay_spec
+            ),
         );
-        std::process::exit(1);
     }
 }
 
@@ -892,25 +892,17 @@ fn cmd_analyze(flags: &Flags) {
 fn cmd_slo_check(flags: &Flags) {
     let path = flags.required("log");
     let rules = load_slo_rules(flags.required("rules"));
-    let log = match TraceLog::read(path) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot read decision log {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let report = match check_log(&log, &rules) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot slo-check {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    if flags.get("json").is_some() {
-        println!("{}", report.to_value().to_json_pretty());
-    } else {
+    let log = read_log(path);
+    let report =
+        check_log(&log, &rules).unwrap_or_else(|e| die(1, format!("cannot slo-check {path}: {e}")));
+    let out = JsonOut::new(flags);
+    if out.human() {
         print!("{}", report.render());
     }
+    out.write(
+        "the SLO report",
+        &(report.to_value().to_json_pretty() + "\n"),
+    );
     if report.breached() {
         std::process::exit(1);
     }
@@ -1009,17 +1001,9 @@ fn cmd_import(flags: &Flags) {
     let p = flags.usize("p", 16);
     let n = flags.usize("requests", usize::MAX);
 
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    let records = match clf::parse_clf(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("parse error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(1, format!("cannot read {path}: {e}")));
+    let records = clf::parse_clf(&text).unwrap_or_else(|e| die(1, format!("parse error: {e}")));
     let kind = clf::guess_cgi_kind(&records);
     let demand = DemandModel::simulation(40.0);
     let mut trace = clf::records_to_trace("imported", &records, &demand, kind, 7).truncated(n);
@@ -1046,7 +1030,7 @@ fn cmd_import(flags: &Flags) {
     }
 }
 
-fn cmd_traces() {
+fn cmd_traces(_: &Flags) {
     println!(
         "{:<6} {:>5} {:>14} {:>7} {:>10} {:>10} {:>10}  CGI replay model",
         "trace", "year", "requests", "%CGI", "interval", "HTML B", "CGI B"
@@ -1084,76 +1068,66 @@ fn cmd_live(flags: &Flags) {
     let metrics_out = flags.get("metrics-out");
     let series_path = flags.get("telemetry-series");
     let mut slo_rules = flags.get("slo-rules").map(load_slo_rules);
-    let top = flags.get("top").is_some();
+    let top = flags.has("top");
     // Bind the scrape endpoint before any run starts, so address errors
     // surface immediately and scrapers can connect from the first
     // moment (the body fills in once the instrumented run begins).
     let mut metrics_server = flags.get("serve-metrics").map(|addr| {
         let server = MetricsServer::bind(addr).unwrap_or_else(|e| {
-            eprintln!("cannot bind --serve-metrics address {addr}: {e}");
-            std::process::exit(1);
+            die(
+                1,
+                format!("cannot bind --serve-metrics address {addr}: {e}"),
+            )
         });
         println!("serving live metrics at http://{}/metrics", server.addr());
         server
     });
-    let mut first = true;
-    for (policy, m) in [(PolicyKind::Flat, 1), (PolicyKind::MasterSlave, 3)] {
+    for (i, (policy, m)) in [(PolicyKind::Flat, 1), (PolicyKind::MasterSlave, 3)]
+        .into_iter()
+        .enumerate()
+    {
         let mut cfg = LiveConfig::sun_cluster(policy, m);
         cfg.time_scale = scale;
+        // The live path and the simulator share one scheduler type, so
+        // tracing works identically: build the run's scheduler, install
+        // the sink (truncating on the first run, appending after), hand
+        // it to the replay.
+        let mut scheduler = live_scheduler(&cfg, &trace);
+        scheduler.set_observer(log.map(|path| decision_sink(path, i > 0)));
         // Telemetry (and the --top table, series, SLO rules and the
         // scrape endpoint) instrument the master/slave run — the
         // paper's policy and the run of interest.
-        let instrument = (tele_json.is_some()
-            || metrics_out.is_some()
-            || top
-            || series_path.is_some()
-            || slo_rules.is_some()
-            || metrics_server.is_some())
-            && policy == PolicyKind::MasterSlave;
-        let s = if instrument || log.is_some() {
-            // The live path and the simulator share one scheduler
-            // type, so tracing works identically: build the run's
-            // scheduler, install the sink, hand it to the replay.
-            let mut scheduler = live_scheduler(&cfg, &trace);
-            scheduler.set_observer(log.map(|path| {
-                if first {
-                    decision_sink(path)
-                } else {
-                    decision_sink_append(path)
-                }
-            }));
-            if instrument {
-                let mut opts = LiveRunOptions::new()
-                    .telemetry(tele_json.is_some() || metrics_out.is_some() || top)
-                    .top(top);
-                if let Some(path) = series_path {
-                    opts = opts.series(series_sink(path));
-                }
-                if let Some(rules) = slo_rules.take() {
-                    opts = opts.slo(SloEngine::new(rules));
-                }
-                if let Some(server) = metrics_server.take() {
-                    opts = opts.metrics(server);
-                }
-                let outcome = emulate_with(&cfg, &trace, scheduler, opts);
-                if let Some(snap) = &outcome.telemetry {
-                    write_telemetry(snap, tele_json, metrics_out);
-                }
-                if let Some(engine) = &outcome.slo {
-                    println!("slo alerts fired: {}", engine.alerts_fired());
-                }
-                if let Some(path) = series_path {
-                    println!("telemetry series written to {path}");
-                }
-                outcome.summary
-            } else {
-                emulate_with(&cfg, &trace, scheduler, LiveRunOptions::new()).summary
+        let instrument = policy == PolicyKind::MasterSlave;
+        let mut opts = LiveRunOptions::new();
+        if instrument {
+            opts = opts
+                .telemetry(tele_json.is_some() || metrics_out.is_some() || top)
+                .top(top);
+            if let Some(path) = series_path {
+                opts = opts.series(series_sink(path));
             }
-        } else {
-            emulate(&cfg, &trace, LiveRunOptions::new()).summary
-        };
-        first = false;
-        println!("{:<9} live stretch {:>8.3}", policy.label(), s.stretch);
+            if let Some(rules) = slo_rules.take() {
+                opts = opts.slo(SloEngine::new(rules));
+            }
+            if let Some(server) = metrics_server.take() {
+                opts = opts.metrics(server);
+            }
+        }
+        let outcome = emulate_with(&cfg, &trace, scheduler, opts);
+        if let Some(snap) = &outcome.telemetry {
+            write_telemetry(snap, tele_json, metrics_out);
+        }
+        if let Some(engine) = &outcome.slo {
+            println!("slo alerts fired: {}", engine.alerts_fired());
+        }
+        if let (true, Some(path)) = (instrument, series_path) {
+            println!("telemetry series written to {path}");
+        }
+        println!(
+            "{:<9} live stretch {:>8.3}",
+            policy.label(),
+            outcome.summary.stretch
+        );
     }
     if let Some(path) = log {
         println!("\ndecision log written to {path}");
@@ -1244,8 +1218,10 @@ fn parse_size_list(s: &str, flag: &str) -> Vec<usize> {
                 .ok()
                 .map(|v| v * mult)
                 .unwrap_or_else(|| {
-                    eprintln!("--{flag} expects sizes like 1000 or 10k,1M, got '{t}'");
-                    std::process::exit(2);
+                    die(
+                        2,
+                        format!("--{flag} expects sizes like 1000 or 10k,1M, got '{t}'"),
+                    )
                 })
         })
         .collect()
@@ -1253,7 +1229,7 @@ fn parse_size_list(s: &str, flag: &str) -> Vec<usize> {
 
 fn cmd_scale(flags: &Flags) {
     const GIB: u64 = 1 << 30;
-    let test_mode = flags.get("test").is_some();
+    let test_mode = flags.has("test");
     let spec = trace_by_name(flags.get("trace").unwrap_or("ucb"));
     let seed = flags.u64("seed", 42);
     let per_p = flags.num("lambda-per-p", 31.25);
@@ -1275,7 +1251,7 @@ fn cmd_scale(flags: &Flags) {
     // Parity gate first (small, so it never disturbs the RSS story):
     // the streamed run must be byte-identical to the materialized one.
     let mut parity = Vec::new();
-    if flags.get("skip-parity").is_none() {
+    if !flags.has("skip-parity") {
         for p in [32usize, 128] {
             let n = 20_000;
             let lambda = per_p * p as f64;
@@ -1301,40 +1277,46 @@ fn cmd_scale(flags: &Flags) {
         }
     }
 
+    // One streamed p x n cell: the composed M/S simulator and its
+    // rate-scaled request stream. The generator's natural arrival rate
+    // (and the workload stats) come from a bounded probe prefix — the
+    // arrival process is stationary, so a 50k sample pins the scaling
+    // factor without materializing the full workload.
+    let cell = |p: usize, n: usize| {
+        let lambda = per_p * p as f64;
+        let probe = spec.generate(n.min(50_000), &demand, seed);
+        let t0 = probe
+            .requests
+            .first()
+            .map(|r| r.arrival)
+            .unwrap_or(SimTime::ZERO);
+        let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
+        let stats = WorkloadStats::from_trace(&probe);
+        let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / inv_r, 1200.0);
+        let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
+            .with_masters(m)
+            .with_seed(seed);
+        let scheduler = registry
+            .compose(&cfg, &stage_spec, stats.a0, stats.r0)
+            .unwrap_or_else(|e| die(1, format!("compose failed: {e}")));
+        let sim = ClusterSim::with_scheduler(cfg, scheduler)
+            .with_priors(stats.a0, stats.r0)
+            .with_mean_demands(stats.static_mean, stats.dynamic_mean)
+            .with_spec_label(stage_spec.render())
+            .with_tick_workers(tick_workers);
+        (
+            sim,
+            ScaledSource::new(spec.stream(n, &demand, seed), scaling),
+        )
+    };
+
     // Scale cells, smallest first so each cell's RSS reading is
     // dominated by itself or a larger predecessor.
     let mut cells = Vec::new();
     for &n in &n_list {
         for &p in &p_list {
             let lambda = per_p * p as f64;
-            // Measure the generator's natural arrival rate (and the
-            // workload stats) from a bounded probe prefix — the arrival
-            // process is stationary, so a 50k sample pins the scaling
-            // factor without materializing the full workload.
-            let probe = spec.generate(n.min(50_000), &demand, seed);
-            let t0 = probe
-                .requests
-                .first()
-                .map(|r| r.arrival)
-                .unwrap_or(SimTime::ZERO);
-            let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
-            let stats = WorkloadStats::from_trace(&probe);
-            let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / inv_r, 1200.0);
-            let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-                .with_masters(m)
-                .with_seed(seed);
-            let scheduler = registry
-                .compose(&cfg, &stage_spec, stats.a0, stats.r0)
-                .unwrap_or_else(|e| {
-                    eprintln!("compose failed: {e}");
-                    std::process::exit(1);
-                });
-            let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
-                .with_priors(stats.a0, stats.r0)
-                .with_mean_demands(stats.static_mean, stats.dynamic_mean)
-                .with_spec_label(stage_spec.render())
-                .with_tick_workers(tick_workers);
-            let source = ScaledSource::new(spec.stream(n, &demand, seed), scaling);
+            let (mut sim, source) = cell(p, n);
             let started = std::time::Instant::now();
             let s = sim.run_source(source);
             let wall_s = started.elapsed().as_secs_f64();
@@ -1372,34 +1354,10 @@ fn cmd_scale(flags: &Flags) {
     let telemetry = {
         let p = p_list.iter().copied().max().unwrap_or(32);
         let n = n_list.iter().copied().max().unwrap_or(20_000);
-        let lambda = per_p * p as f64;
-        let probe = spec.generate(n.min(50_000), &demand, seed);
-        let t0 = probe
-            .requests
-            .first()
-            .map(|r| r.arrival)
-            .unwrap_or(SimTime::ZERO);
-        let scaling = RateScaling::to_rate(probe.mean_rate(), t0, lambda);
-        let stats = WorkloadStats::from_trace(&probe);
-        let m = plan_masters(p, lambda, spec.arrival_ratio_a(), 1.0 / inv_r, 1200.0);
-        let cfg = ClusterConfig::simulation(p, PolicyKind::MasterSlave)
-            .with_masters(m)
-            .with_seed(seed);
-        let scheduler = registry
-            .compose(&cfg, &stage_spec, stats.a0, stats.r0)
-            .unwrap_or_else(|e| {
-                eprintln!("compose failed: {e}");
-                std::process::exit(1);
-            });
+        let (sim, source) = cell(p, n);
         let rss_before = peak_rss_bytes();
         let recorder = SeriesRecorder::to_writer(Box::new(std::io::sink()));
-        let mut sim = ClusterSim::with_scheduler(cfg, scheduler)
-            .with_priors(stats.a0, stats.r0)
-            .with_mean_demands(stats.static_mean, stats.dynamic_mean)
-            .with_spec_label(stage_spec.render())
-            .with_tick_workers(tick_workers)
-            .with_series(recorder);
-        let source = ScaledSource::new(spec.stream(n, &demand, seed), scaling);
+        let mut sim = sim.with_series(recorder);
         let started = std::time::Instant::now();
         let _ = sim.run_source(source);
         let wall_s = started.elapsed().as_secs_f64();
@@ -1438,8 +1396,7 @@ fn cmd_scale(flags: &Flags) {
         budget_ok: rss_ok && parity_ok && telemetry_ok,
     };
     if let Err(e) = std::fs::write(out, serde::to_json_string_pretty(&report) + "\n") {
-        eprintln!("cannot write {out}: {e}");
-        std::process::exit(1);
+        die(1, format!("cannot write {out}: {e}"));
     }
     println!("\nscale report written to {out}");
     if !rss_ok {

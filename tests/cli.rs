@@ -306,3 +306,245 @@ fn pareto_smoke_grid_prints_attributed_front() {
     assert!(stdout.contains("first divergent stage"), "{stdout}");
     assert!(stdout.contains("front:"), "{stdout}");
 }
+
+/// Every subcommand and `experiments` mode with the flags its usage must
+/// list (the CLI's declared flag tables, restated as the contract).
+const ENTRIES: &[(&[&str], &[&str])] = &[
+    (&["plan"], &["--lambda", "--a", "--inv-r", "--p", "--mu-h"]),
+    (
+        &["replay"],
+        &[
+            "--trace",
+            "--lambda",
+            "--inv-r",
+            "--p",
+            "--policy",
+            "--requests",
+            "--seed",
+            "--trace-decisions",
+            "--telemetry",
+            "--metrics-out",
+            "--telemetry-series",
+            "--slo-rules",
+        ],
+    ),
+    (&["import"], &["--log", "--lambda", "--p", "--requests"]),
+    (&["traces"], &[]),
+    (
+        &["live"],
+        &[
+            "--rate",
+            "--requests",
+            "--scale",
+            "--trace-decisions",
+            "--telemetry",
+            "--metrics-out",
+            "--top",
+            "--telemetry-series",
+            "--slo-rules",
+            "--serve-metrics",
+        ],
+    ),
+    (
+        &["analyze"],
+        &["--log", "--spec", "--run", "--json", "--fail-on-divergence"],
+    ),
+    (&["slo-check"], &["--log", "--rules", "--json"]),
+    (
+        &["experiments"],
+        &[
+            "--id",
+            "--jobs",
+            "--json",
+            "--quick",
+            "--seed",
+            "--trace-decisions",
+            "--telemetry",
+            "--telemetry-series",
+        ],
+    ),
+    (
+        &["experiments", "--unknown-sizes"],
+        &["--quick", "--jobs", "--seed", "--json", "--test"],
+    ),
+    (
+        &["experiments", "--pareto"],
+        &[
+            "--grid",
+            "--quick",
+            "--jobs",
+            "--seed",
+            "--requests",
+            "--json",
+            "--test",
+        ],
+    ),
+    (
+        &["experiments", "--regions"],
+        &["--quick", "--seed", "--requests", "--json", "--test"],
+    ),
+    (
+        &["metrics-dump"],
+        &[
+            "--from",
+            "--trace",
+            "--lambda",
+            "--p",
+            "--requests",
+            "--seed",
+            "--policy",
+        ],
+    ),
+    (
+        &["scale"],
+        &[
+            "--p",
+            "--n",
+            "--trace",
+            "--seed",
+            "--lambda-per-p",
+            "--tick-workers",
+            "--out",
+            "--test",
+            "--skip-parity",
+        ],
+    ),
+];
+
+/// Run `msweb` in a fresh scratch directory; returns the output and
+/// whether the run left any file behind.
+fn msweb_in_scratch(tag: &str, args: &[&str]) -> (std::process::Output, bool) {
+    let dir = std::env::temp_dir().join(format!("msweb_cli_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_msweb"))
+        .args(args)
+        .current_dir(&dir)
+        .output()
+        .expect("failed to spawn msweb");
+    let wrote = std::fs::read_dir(&dir).unwrap().next().is_some();
+    let _ = std::fs::remove_dir_all(&dir);
+    (out, wrote)
+}
+
+/// Assert `args` exits 2 before running anything, naming `flag`.
+fn assert_rejected(tag: &str, args: &[&str], flag: &str) {
+    let (out, wrote) = msweb_in_scratch(tag, args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+    assert!(
+        err.contains(flag),
+        "{args:?}: error must name {flag}: {err}"
+    );
+    assert!(out.stdout.is_empty(), "{args:?} ran before rejecting");
+    assert!(!wrote, "{args:?} wrote a file before rejecting");
+}
+
+#[test]
+fn unknown_flags_are_rejected_naming_the_flag() {
+    for (entry, _) in ENTRIES {
+        let mut args = entry.to_vec();
+        args.extend(["--bogus-flag", "1"]);
+        assert_rejected("unknown", &args, "--bogus-flag");
+    }
+    // A typo, and a flag another `experiments` mode reads but the chosen
+    // one does not.
+    assert_rejected("typo", &["plan", "--lamda", "5"], "--lamda");
+    assert_rejected(
+        "mode",
+        &["experiments", "--regions", "--jobs", "2"],
+        "--jobs",
+    );
+    assert_rejected(
+        "two-modes",
+        &["experiments", "--pareto", "--regions"],
+        "--regions",
+    );
+}
+
+#[test]
+fn help_on_every_subcommand_lists_its_flags_and_runs_nothing() {
+    for (entry, flags) in ENTRIES {
+        for help in ["--help", "-h"] {
+            let mut args = entry.to_vec();
+            args.push(help);
+            let (out, wrote) = msweb_in_scratch("help", &args);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains("USAGE"), "{args:?}: {err}");
+            assert!(err.contains(&format!("msweb {}", entry[0])), "{err}");
+            for flag in *flags {
+                assert!(
+                    err.contains(&format!("[{flag}")),
+                    "{args:?} usage must list {flag}: {err}"
+                );
+            }
+            assert!(out.stdout.is_empty(), "{args:?} ran: {out:?}");
+            assert!(!wrote, "{args:?} wrote a file");
+        }
+    }
+}
+
+#[test]
+fn repeated_flags_and_valued_booleans_are_rejected() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["plan", "--p", "8", "--p", "16"], "--p"),
+        (&["replay", "--trace", "ucb", "--trace", "ksu"], "--trace"),
+        (&["analyze", "--json", "--json"], "--json"),
+        (&["experiments", "--quick", "--quick"], "--quick"),
+        (&["experiments", "--pareto", "--pareto"], "--pareto"),
+        (&["experiments", "--quick", "yes"], "--quick"),
+        (&["scale", "--test", "1"], "--test"),
+        (&["live", "--top", "now"], "--top"),
+        (&["experiments", "--regions", "--test", "x"], "--test"),
+        (
+            &["analyze", "--fail-on-divergence", "1"],
+            "--fail-on-divergence",
+        ),
+    ];
+    for (args, flag) in cases {
+        assert_rejected("strict", args, flag);
+    }
+}
+
+#[test]
+fn experiments_id_takes_a_comma_list() {
+    let path = std::env::temp_dir().join(format!("msweb_cli_idlist_{}.json", std::process::id()));
+    let out = msweb(&[
+        "experiments",
+        "--id",
+        "fig3a,fig3b",
+        "--quick",
+        "--json",
+        path.to_str().unwrap(),
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = std::fs::read_to_string(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(json.contains("\"Fig3a\""), "{json}");
+    assert!(json.contains("\"Fig3b\""), "{json}");
+    assert_eq!(json.matches("\"experiment\"").count(), 2, "{json}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("wrote 2 report(s)"), "{stdout}");
+}
+
+#[test]
+fn bare_json_makes_stdout_the_report() {
+    let out = msweb(&["experiments", "--id", "fig3a", "--quick", "--json"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("[\n{"), "{stdout}");
+    assert!(stdout.ends_with("]\n"), "{stdout}");
+    assert!(
+        !stdout.contains("FIG 3(a)"),
+        "human report leaked: {stdout}"
+    );
+}

@@ -226,6 +226,66 @@ fn replayed_failure_run_matches_live_summary() {
     assert_eq!(report.rescued, 0, "a fixed point rescues nothing");
 }
 
+/// Requests of `log` re-placed by the fail-over path that were still in
+/// transit to master 0 at `crash_us` and landed on a slave.
+fn transit_reroutes_to_slaves(log: &TraceLog, crash_us: u64) -> usize {
+    let mut last: std::collections::HashMap<u64, &DecisionRecord> = Default::default();
+    let mut rerouted = 0;
+    for e in &log.events {
+        if let TraceEvent::Decision(r) = e {
+            if let (true, Some(prev)) = (r.restart, last.get(&r.req)) {
+                let in_transit = prev.chosen == 0 && prev.at_us + prev.latency_us > crash_us;
+                if in_transit && prev.on_master && !r.on_master {
+                    rerouted += 1;
+                }
+            }
+            last.insert(r.req, r);
+        }
+    }
+    rerouted
+}
+
+/// A dynamic request still in transit to a master when that master
+/// dies is re-placed by the fail-over path. If the new placement is on
+/// a slave, the completion must be accounted at the slave level, just
+/// like a request restarted from the crashed node's run queue.
+#[test]
+fn transit_rerouted_dynamic_is_attributed_to_its_new_level() {
+    let m = 3;
+    // Crash master 0 halfway through a remote transfer towards it (the
+    // run is deterministic up to the crash), trying transfers from the
+    // second half of the run until the fail-over re-places one on a slave.
+    let (clean, _) = traced_failure_run(9, FailurePlan::none());
+    let transfers: Vec<u64> = clean
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Decision(r) if r.dynamic && r.on_master && r.chosen == 0 => {
+                (r.latency_us > 0).then_some(r.at_us + r.latency_us / 2)
+            }
+            _ => None,
+        })
+        .collect();
+    let (crash_us, log, s) = transfers[transfers.len() / 2..]
+        .iter()
+        .take(20)
+        .find_map(|&at| {
+            let (log, s) = traced_failure_run(9, FailurePlan::crash(0, SimTime(at)));
+            (transit_reroutes_to_slaves(&log, at) > 0).then_some((at, log, s))
+        })
+        .expect("some crash must re-route an in-transit dynamic from master 0 to a slave");
+    assert!(transit_reroutes_to_slaves(&log, crash_us) > 0);
+
+    // Every dynamic completion counted at the master level ran on a
+    // master node.
+    let on_masters = log
+        .events
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::Complete { node, dynamic: true, .. } if *node < m))
+        .count() as u64;
+    assert_eq!(s.dynamic_on_master, on_masters);
+}
+
 #[test]
 fn crash_degrades_but_does_not_wedge_performance() {
     let trace = workload(4);

@@ -158,7 +158,7 @@ fn sim_and_live_emit_schema_identical_jsonl() {
     );
 }
 
-/// The `experiments` binary's Table-3 path appends every replay — live
+/// The `msweb experiments --id tab3` path appends every replay — live
 /// and simulated — to one shared log through the same sink; the schema
 /// contract must hold there too (the satellite emission path).
 #[test]
